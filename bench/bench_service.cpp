@@ -37,7 +37,6 @@
 #include "engine/engine.h"
 #include "ftqc/patterns.h"
 #include "io/request_io.h"
-#include "net/frame_client.h"
 #include "obs/metrics.h"
 #include "router/router.h"
 #include "service/cache.h"
@@ -169,11 +168,10 @@ void storm_connection(const std::string& host, std::uint16_t port,
                       std::size_t index, std::size_t per_conn,
                       StormTally& tally) {
   try {
-    std::unique_ptr<ebmf::net::FrameClient> client;
+    std::unique_ptr<ebmf::service::Client> client;
     for (int attempt = 0;; ++attempt) {
       try {
-        client =
-            std::make_unique<ebmf::net::FrameClient>(host, port);
+        client = std::make_unique<ebmf::service::Client>(host, port);
         break;
       } catch (const std::exception&) {
         // A full accept backlog under the storm ramp is not a failure;
@@ -191,7 +189,7 @@ void storm_connection(const std::string& host, std::uint16_t port,
       tally.sent.fetch_add(1, std::memory_order_relaxed);
     }
     for (std::size_t i = 0; i < per_conn; ++i) {
-      const std::string reply = client->read_reply();
+      const std::string reply = client->read_line();
       tally.received.fetch_add(1, std::memory_order_relaxed);
       if (reply_id(reply) != static_cast<std::int64_t>(i))
         tally.reordered.fetch_add(1, std::memory_order_relaxed);

@@ -23,7 +23,6 @@
 #include "io/json.h"
 #include "io/partition_io.h"
 #include "io/request_io.h"
-#include "net/frame_client.h"
 #include "obs/trace.h"
 #include "router/router.h"
 #include "sat/dimacs.h"
@@ -1055,7 +1054,6 @@ int cmd_client(const Args& args, std::ostream& out, std::ostream& err) {
       args.has("dont-cares") || base.strategy == "completion";
 
   std::vector<io::WireRequest> wires;
-  std::vector<std::string> lines;
   for (const auto& path : args.positional) {
     io::WireRequest wire;
     wire.request = base;
@@ -1063,7 +1061,7 @@ int cmd_client(const Args& args, std::ostream& out, std::ostream& err) {
     // Correlation ids make retries safe to count: a re-sent request whose
     // first copy actually landed is answered exactly once by the client's
     // id dedupe.
-    wire.id = static_cast<std::int64_t>(lines.size());
+    wire.id = static_cast<std::int64_t>(wires.size());
     try {
       if (masked_input)
         wire.request.masked = io::load_masked(path);
@@ -1083,56 +1081,20 @@ int cmd_client(const Args& args, std::ostream& out, std::ostream& err) {
       wire.has_trace = true;
       wire.trace = obs::make_trace_context();
     }
-    lines.push_back(io::wire_request_json(wire));
     wires.push_back(std::move(wire));
   }
 
   if (args.has("watch"))
-    return client_watch_solve(endpoints, args, lines[0], out, err);
-
-  if (args.has("binary")) {
-    // The binary-wire client: negotiate the frame protocol and ship solves
-    // as type-1 frames. One endpoint, one socket — failover and redirect
-    // chasing stay with the line client; this path exists to exercise and
-    // measure the fast wire.
-    std::string host;
-    std::uint16_t client_port = 0;
-    if (!service::net::parse_endpoint(endpoints[0], host, client_port)) {
-      err << "error: bad endpoint '" << endpoints[0] << "'\n";
-      return 2;
-    }
-    try {
-      ebmf::net::FrameClient client(host, client_port);
-      if (!client.upgrade())
-        err << "note: server declined the upgrade; staying on the line "
-               "protocol\n";
-      constexpr std::size_t kWindow = 8;
-      bool failed = false;
-      std::size_t sent = 0;
-      for (std::size_t received = 0; received < wires.size(); ++received) {
-        while (sent < wires.size() && sent - received < kWindow) {
-          client.send_request(wires[sent]);
-          ++sent;
-        }
-        const std::string reply = client.read_reply();
-        if (reply.rfind("{\"error\"", 0) == 0) failed = true;
-        if (reply.rfind("{\"id\":", 0) == 0) {
-          const std::size_t comma = reply.find(',');
-          if (comma != std::string::npos &&
-              reply.compare(comma + 1, 8, "\"error\"") == 0)
-            failed = true;
-        }
-        out << reply << "\n";
-      }
-      return failed ? 1 : 0;
-    } catch (const std::exception& e) {
-      err << "error: " << e.what() << "\n";
-      return 1;
-    }
-  }
+    return client_watch_solve(endpoints, args,
+                              io::wire_request_json(wires[0]), out, err);
 
   try {
     service::Client client(endpoints);
+    // --binary negotiates the frame protocol; failover re-negotiates on
+    // every fresh connection, and replies read back as JSON lines.
+    if (args.has("binary") && !client.upgrade())
+      err << "note: server declined the upgrade; staying on the line "
+             "protocol\n";
     const bool stamp = args.has("connect");
     // Pipeline with a bounded window: blasting every line before reading
     // any reply can deadlock two blocking peers once both socket buffers
@@ -1141,11 +1103,11 @@ int cmd_client(const Args& args, std::ostream& out, std::ostream& err) {
     constexpr std::size_t kWindow = 8;
     bool failed = false;
     std::size_t sent = 0;
-    for (std::size_t received = 0; received < lines.size(); ++received) {
+    for (std::size_t received = 0; received < wires.size(); ++received) {
       std::string reply;
       try {
-        while (sent < lines.size() && sent - received < kWindow) {
-          client.send_line(lines[sent]);
+        while (sent < wires.size() && sent - received < kWindow) {
+          client.send_request(wires[sent]);
           ++sent;
         }
         reply = client.read_line();
@@ -1156,7 +1118,7 @@ int cmd_client(const Args& args, std::ostream& out, std::ostream& err) {
         // across the address list, chases redirects, and its id dedupe
         // keeps a request that *did* land from being answered twice.
         sent = received;
-        reply = client.round_trip(lines[sent]);
+        reply = client.round_trip(wires[sent]);
         ++sent;
       }
       // Error replies lead with "error" (after the echoed id, when one

@@ -541,8 +541,12 @@ ReactorServer::ReactorServer(ReactorOptions options,
 
 ReactorServer::~ReactorServer() { shutdown(); }
 
-void ReactorServer::start() {
+void ReactorServer::listen() {
   listener_.listen(options_.host, options_.port);
+}
+
+void ReactorServer::start() {
+  if (!listener_.listening()) listen();
   workers_.start(options_.workers);
   for (std::size_t i = 0; i < options_.event_loops; ++i) {
     loops_.push_back(std::make_unique<EventLoop>(this));
@@ -615,7 +619,6 @@ bool ReactorServer::extract_locked(const ConnPtr& conn,
       if (is_upgrade_line(message.payload)) {
         message.upgrade = true;
         conn->mode_ = WireMode::Binary;
-        conn->mode_atomic_.store(1, std::memory_order_release);
       }
       batch->push_back(std::move(message));
     } else {
@@ -733,10 +736,12 @@ void ReactorServer::begin_drain() {
   if (accept_thread_.joinable()) accept_thread_.join();
   // Stop reading everywhere, but push already-buffered complete messages
   // through the handlers — an accepted request is never dropped silently.
+  // Each loop touches only the connections it owns.
   for (const std::unique_ptr<EventLoop>& loop : loops_) {
     EventLoop* raw = loop.get();
     raw->post([this, raw] {
       for (const ConnPtr& conn : connections()) {
+        if (conn->loop_ != raw) continue;
         raw->update_interest(conn);
         dispatch_input(conn);
       }

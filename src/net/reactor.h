@@ -86,15 +86,6 @@ class Conn : public std::enable_shared_from_this<Conn> {
     return closed_.load(std::memory_order_acquire);
   }
 
-  /// The connection's current *input* framing (flips on upgrade). A reply
-  /// producer should frame per-message via Message::mode; this is for
-  /// stream writers (watch) that outlive the triggering message.
-  [[nodiscard]] WireMode wire_mode() const noexcept {
-    return mode_atomic_.load(std::memory_order_acquire) == 0
-               ? WireMode::Line
-               : WireMode::Binary;
-  }
-
   /// Monotonic connection id (stable across the server's lifetime).
   [[nodiscard]] std::uint64_t conn_id() const noexcept { return id_; }
 
@@ -115,7 +106,6 @@ class Conn : public std::enable_shared_from_this<Conn> {
   EventLoop* const loop_;
 
   std::atomic<bool> closed_{false};
-  std::atomic<int> mode_atomic_{0};  // 0 = Line, 1 = Binary (observers)
   std::atomic<std::uint64_t> last_activity_us_{0};
 
   // ---- input state, under in_mutex_ ------------------------------------
@@ -206,10 +196,16 @@ class ReactorServer {
   ReactorServer(const ReactorServer&) = delete;
   ReactorServer& operator=(const ReactorServer&) = delete;
 
-  /// Bind, spin up loops/workers/acceptor. Throws on bind failure.
+  /// Bind and listen without serving yet, so the owner can finish its
+  /// own setup knowing port() before any message reaches a handler.
+  /// Throws on bind failure.
+  void listen();
+
+  /// listen() unless already listening, then spin up loops/workers/
+  /// acceptor.
   void start();
 
-  /// The resolved listening port (after start()).
+  /// The resolved listening port (after listen()).
   [[nodiscard]] std::uint16_t port() const noexcept;
 
   /// Stop accepting and reading. Messages already buffered keep flowing to

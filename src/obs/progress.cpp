@@ -3,10 +3,10 @@
 
 #include "obs/progress.h"
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
+#include <deque>
 #include <mutex>
+#include <vector>
 
 #include "io/json.h"
 
@@ -33,10 +33,14 @@ std::string progress_frame_json(const ProgressFrame& frame) {
 }
 
 struct ProgressSink::Impl {
+  struct Subscriber {
+    std::uint64_t token;
+    Listener on_frame;
+    DoneListener on_done;
+  };
   mutable std::mutex mutex;
-  mutable std::condition_variable cv;
-  std::vector<ProgressFrame> frames;  ///< Newest kKeep, oldest first.
-  std::vector<std::pair<std::uint64_t, Listener>> listeners;
+  std::deque<ProgressFrame> frames;  ///< Newest kKeep, oldest first.
+  std::vector<Subscriber> subscribers;
   std::uint64_t next_seq = 0;
   std::uint64_t next_token = 1;
   bool done = false;
@@ -47,30 +51,24 @@ std::shared_ptr<ProgressSink::Impl> ProgressSink::make_impl() {
 }
 
 void ProgressSink::publish(ProgressFrame frame) {
-  std::vector<std::pair<std::uint64_t, Listener>> fanout;
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    frame.seq = impl_->next_seq++;
-    impl_->frames.push_back(frame);
-    if (impl_->frames.size() > kKeep) {
-      impl_->frames.erase(impl_->frames.begin());
-    }
-    fanout = impl_->listeners;  // copy: a listener may unsubscribe itself
-  }
-  std::vector<std::uint64_t> dead;
-  for (const auto& [token, listener] : fanout) {
-    if (!listener(frame)) dead.push_back(token);
-  }
-  for (const std::uint64_t token : dead) unsubscribe(token);
-  impl_->cv.notify_all();
+  const std::lock_guard<std::mutex> lock(impl_->mutex);
+  frame.seq = impl_->next_seq++;
+  impl_->frames.push_back(frame);
+  if (impl_->frames.size() > kKeep) impl_->frames.pop_front();
+  // Fan out under the lock: that is what keeps every subscriber's view in
+  // seq order even when two threads publish at once.
+  std::erase_if(impl_->subscribers, [&frame](const Impl::Subscriber& s) {
+    return !s.on_frame(frame);
+  });
 }
 
 void ProgressSink::finish() {
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->done = true;
-  }
-  impl_->cv.notify_all();
+  const std::lock_guard<std::mutex> lock(impl_->mutex);
+  if (impl_->done) return;
+  impl_->done = true;
+  for (const Impl::Subscriber& subscriber : impl_->subscribers)
+    if (subscriber.on_done) subscriber.on_done(impl_->next_seq);
+  impl_->subscribers.clear();
 }
 
 bool ProgressSink::finished() const {
@@ -80,7 +78,7 @@ bool ProgressSink::finished() const {
 
 std::vector<ProgressFrame> ProgressSink::frames() const {
   const std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->frames;
+  return {impl_->frames.begin(), impl_->frames.end()};
 }
 
 ProgressFrame ProgressSink::last() const {
@@ -93,30 +91,26 @@ std::uint64_t ProgressSink::published() const {
   return impl_->next_seq;
 }
 
-std::uint64_t ProgressSink::subscribe(Listener listener) {
+std::uint64_t ProgressSink::subscribe(Listener listener,
+                                      DoneListener on_done) {
   const std::lock_guard<std::mutex> lock(impl_->mutex);
+  for (const ProgressFrame& frame : impl_->frames)
+    if (!listener(frame)) return 0;
+  if (impl_->done) {
+    if (on_done) on_done(impl_->next_seq);
+    return 0;
+  }
   const std::uint64_t token = impl_->next_token++;
-  impl_->listeners.emplace_back(token, std::move(listener));
+  impl_->subscribers.push_back(
+      Impl::Subscriber{token, std::move(listener), std::move(on_done)});
   return token;
 }
 
 void ProgressSink::unsubscribe(std::uint64_t token) {
   const std::lock_guard<std::mutex> lock(impl_->mutex);
-  for (auto it = impl_->listeners.begin(); it != impl_->listeners.end();
-       ++it) {
-    if (it->first == token) {
-      impl_->listeners.erase(it);
-      return;
-    }
-  }
-}
-
-bool ProgressSink::wait_finished(double seconds) const {
-  std::unique_lock<std::mutex> lock(impl_->mutex);
-  impl_->cv.wait_for(
-      lock, std::chrono::duration<double>(seconds < 0 ? 0 : seconds),
-      [this] { return impl_->done; });
-  return impl_->done;
+  std::erase_if(impl_->subscribers, [token](const Impl::Subscriber& s) {
+    return s.token == token;
+  });
 }
 
 }  // namespace ebmf::obs

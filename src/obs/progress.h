@@ -9,14 +9,14 @@
 /// the anytime `local` strategy publishes on every improving incumbent, the
 /// SAP bound race on every wave. The server registers the sink of each
 /// in-flight request under its wire id; `{"op":"watch","id":N}` subscribes
-/// a connection and pushes one JSONL frame per publish until the solve
-/// finishes.
+/// a connection and pushes one JSONL frame per publish, then a done line
+/// from finish() — no thread per watcher.
 ///
 /// Publishing never blocks the solver: listeners are invoked inline under
-/// the sink mutex, but the server-side listener writes to the watcher's
-/// socket with MSG_DONTWAIT and drops frames a slow watcher can't absorb —
-/// a stalled or disconnected subscriber costs the solver one failed
-/// syscall, after which the listener unregisters itself.
+/// the sink mutex, but the server-side listener only enqueues onto the
+/// watcher's reactor write queue and drops frames a slow watcher can't
+/// absorb — a closed subscriber costs the solver one failed enqueue, after
+/// which the listener unregisters itself.
 
 #include <cstdint>
 #include <functional>
@@ -48,14 +48,20 @@ class ProgressSink {
   /// Frames retained for late subscribers (the newest kKeep).
   static constexpr std::size_t kKeep = 256;
 
-  /// Called on each publish. Return false to unsubscribe (e.g. the
-  /// watcher's socket died). Must not block.
+  /// Called with each frame, in seq order. Return false to unsubscribe
+  /// (e.g. the watcher's socket died). Runs under the sink lock, so it
+  /// must not block and must not call back into the sink.
   using Listener = std::function<bool(const ProgressFrame&)>;
+
+  /// Called once when the solve finishes, with the total frames ever
+  /// published. Same rules as Listener.
+  using DoneListener = std::function<void(std::uint64_t published)>;
 
   /// Stamp `seq`, retain the frame, and fan it out to live listeners.
   void publish(ProgressFrame frame);
 
-  /// Mark the solve finished and wake every waiter. Idempotent.
+  /// Mark the solve finished and call every subscriber's DoneListener
+  /// (dropping all subscriptions). Idempotent.
   void finish();
 
   [[nodiscard]] bool finished() const;
@@ -69,14 +75,13 @@ class ProgressSink {
   /// Total frames ever published.
   [[nodiscard]] std::uint64_t published() const;
 
-  /// Register a listener; returns a token for unsubscribe().
-  std::uint64_t subscribe(Listener listener);
+  /// Under one hold of the sink lock: replay the retained frames to
+  /// `listener`, then register it for every later publish — so a
+  /// subscriber racing a publisher sees contiguous `seq` values. A sink
+  /// already finished calls `on_done` at once and registers nothing.
+  /// Returns a token for unsubscribe() (0 when nothing was registered).
+  std::uint64_t subscribe(Listener listener, DoneListener on_done = {});
   void unsubscribe(std::uint64_t token);
-
-  /// Block up to `seconds` for finish(); true when finished. Watch
-  /// handlers poll this in a loop so they can also notice a dead
-  /// subscriber socket between waits.
-  bool wait_finished(double seconds) const;
 
  private:
   struct Impl;

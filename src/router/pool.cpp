@@ -23,7 +23,6 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "service/net.h"
-#include "support/fault.h"
 #include "support/rng.h"
 
 namespace ebmf::router {
@@ -82,51 +81,12 @@ struct Conn {
 /// and backs off — a wedged negotiation must not be mistaken for a
 /// decline).
 int negotiate_upgrade(int fd) {
-  if (!net::write_line(fd, "{\"op\":\"upgrade\"}")) return -1;
-  timeval window{2, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &window, sizeof window);
   net::LineBuffer buffer;
-  char chunk[512];
   std::string line;
-  int result = -1;
-  while (true) {
-    if (buffer.pop(line)) {
-      result = line.find("\"upgraded\":true") != std::string::npos ? 1 : 0;
-      break;
-    }
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
-  timeval off{0, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &off, sizeof off);
-  return result;
-}
-
-/// Send raw bytes (an already-encoded frame) fully, through the same
-/// fault-injection seams write_line uses so the network drills exercise
-/// the binary path too. False when the peer is gone.
-bool send_raw(int fd, const std::string& bytes) {
-  fault::maybe_delay();
-  if (fault::should_drop_write()) {
-    ::shutdown(fd, SHUT_RDWR);
-    return false;
-  }
-  const std::size_t limit = fault::maybe_tear(bytes.size());
-  std::size_t sent = 0;
-  while (sent < limit) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, limit - sent, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  if (limit < bytes.size()) {  // torn by the drill: kill the connection
-    ::shutdown(fd, SHUT_RDWR);
-    return false;
-  }
-  return true;
+  if (!net::write_line(fd, "{\"op\":\"upgrade\"}") ||
+      net::read_line(fd, buffer, line, 2.0) != net::Read::Ok)
+    return -1;
+  return line.find("\"upgraded\":true") != std::string::npos ? 1 : 0;
 }
 
 /// Complete one pending reply.
@@ -437,10 +397,10 @@ bool BackendPool::submit(std::uint64_t id, const std::string& payload,
     std::lock_guard<std::mutex> lock(conn->write_mutex);
     if (conn->open.load(std::memory_order_relaxed)) {
       if (framed)
-        sent = send_raw(conn->fd, payload);
+        sent = net::write_all(conn->fd, payload);
       else if (conn->binary)  // JSON over a frame stream: type-4 wrap
-        sent = send_raw(conn->fd, rnet::encode_frame(rnet::kFrameJson,
-                                                     payload));
+        sent = net::write_all(
+            conn->fd, rnet::encode_frame(rnet::kFrameJson, payload));
       else
         sent = net::write_line(conn->fd, payload);
       // Wake the reader so the break is processed once, centrally.

@@ -8,12 +8,10 @@
 
 #include "router/router.h"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <ctime>
@@ -58,6 +56,15 @@ using net::error_json;
 using net::write_line;
 
 namespace {
+
+/// Control-plane exchanges with a fleet peer or backend (hello, claim,
+/// sync, a forwarded write, a fleet scrape) ride net::call — a fresh
+/// short-lived dial per exchange, through the fault-injection layer — and
+/// a stuck peer costs the caller at most this long per step.
+constexpr double kPeerCallSeconds = 2.0;
+
+/// The watch relay's dial window toward the serving backend.
+constexpr double kWatchDialSeconds = 2.0;
 
 /// Wrap one JSON reply line in the framing the triggering message used:
 /// '\n'-terminated on a line connection, a type-4 JSON frame after the
@@ -339,8 +346,6 @@ struct Router::Impl {
   std::string handle_peer(const io::WireRequest& wire);
   std::string build_sync_line() const;
   void observe_peer_reply(const std::string& line);
-  std::optional<std::string> peer_call(const std::string& endpoint,
-                                       const std::string& line);
   void sync_loop();
   std::string stats_json(std::int64_t id) const;
   std::string fleet_metrics_json(std::int64_t id);
@@ -535,45 +540,6 @@ std::string Router::Impl::handle_membership(const io::WireRequest& wire) {
   return out.str();
 }
 
-/// One blocking request/reply exchange with a fleet peer (hello, claim,
-/// sync, or a forwarded write). A fresh short-lived dial per exchange:
-/// peer traffic is a few small lines per sync interval, and dialing
-/// through net::tcp_connect keeps the fault-injection layer in this path
-/// too. nullopt means "peer unreachable right now".
-std::optional<std::string> Router::Impl::peer_call(const std::string& endpoint,
-                                                   const std::string& line) {
-  std::string host;
-  std::uint16_t port = 0;
-  if (!net::parse_endpoint(endpoint, host, port)) return std::nullopt;
-  int fd = -1;
-  try {
-    fd = net::tcp_connect(host, port);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  timeval timeout{2, 0};  // a stuck peer must not wedge the caller
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
-  std::optional<std::string> reply;
-  if (net::write_line(fd, line)) {
-    net::LineBuffer buffer;
-    char chunk[8192];
-    std::string first;
-    while (true) {
-      if (buffer.pop(first)) {
-        reply = std::move(first);
-        break;
-      }
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) break;
-      buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-  ::close(fd);
-  return reply;
-}
-
 /// A membership write arrived while we are a follower: proxy it to the
 /// leaseholder so the client sees the authoritative answer, or — when the
 /// leaseholder is unknown or unreachable — answer with an epoch-stamped
@@ -584,7 +550,8 @@ std::string Router::Impl::forward_or_redirect(const io::WireRequest& wire) {
     io::WireRequest forward = wire;
     forward.id = -1;  // the proxy leg has its own correlation space
     if (std::optional<std::string> reply =
-            peer_call(status.holder, io::wire_request_json(forward))) {
+            net::call(status.holder, io::wire_request_json(forward),
+                      kPeerCallSeconds, &stopping)) {
       stat_forwards.fetch_add(1, std::memory_order_relaxed);
       obs_forwards->add(1);
       return net::with_id_prefix(*reply, wire.id);
@@ -739,7 +706,7 @@ void Router::Impl::observe_peer_reply(const std::string& line) {
 /// The fleet thread: one hello round to learn the standing lease, then on
 /// the sync cadence either renew-and-replicate (holder) or watch for the
 /// holder's silence and bid (try_acquire bids exactly when the known
-/// lease has expired). Peer exchanges ride peer_call → net, so injected
+/// lease has expired). Peer exchanges ride net::call, so injected
 /// faults hit this path too: a dropped renewal round just narrows the
 /// margin to the next one.
 void Router::Impl::sync_loop() {
@@ -751,7 +718,8 @@ void Router::Impl::sync_loop() {
     const std::string hello_line = io::wire_request_json(hello);
     for (const std::string& peer : options.peers) {
       if (stopping.load(std::memory_order_relaxed)) return;
-      if (const auto reply = peer_call(peer, hello_line))
+      if (const auto reply =
+              net::call(peer, hello_line, kPeerCallSeconds, &stopping))
         observe_peer_reply(*reply);
     }
   }
@@ -807,10 +775,12 @@ void Router::Impl::sync_loop() {
     const std::string sync_line = build_sync_line();
     for (const std::string& peer : options.peers) {
       if (stopping.load(std::memory_order_relaxed)) break;
-      if (const auto reply = peer_call(peer, claim_line))
+      if (const auto reply =
+              net::call(peer, claim_line, kPeerCallSeconds, &stopping))
         observe_peer_reply(*reply);
       if (!lease->status().held) break;  // deposed mid-round
-      if (const auto reply = peer_call(peer, sync_line)) {
+      if (const auto reply =
+              net::call(peer, sync_line, kPeerCallSeconds, &stopping)) {
         observe_peer_reply(*reply);
         stat_syncs_sent.fetch_add(1, std::memory_order_relaxed);
         obs_syncs->add(1);
@@ -955,7 +925,8 @@ std::string Router::Impl::fleet_metrics_json(std::int64_t id) {
   for (const std::string& peer : options.peers) targets.push_back(peer);
   for (const std::string& endpoint : targets) {
     const std::optional<std::string> reply =
-        peer_call(endpoint, "{\"op\":\"metrics\"}");
+        net::call(endpoint, "{\"op\":\"metrics\"}", kPeerCallSeconds,
+                  &stopping);
     if (!reply) continue;
     try {
       const io::json::Value document = io::json::Value::parse(*reply);
@@ -1196,25 +1167,10 @@ void Router::Impl::watch_relay(const rnet::ConnPtr& conn, std::int64_t id,
     }
     route = it->second;
   }
-  std::string host;
-  std::uint16_t port = 0;
-  int fd = -1;
-  if (net::parse_endpoint(route.endpoint, host, port)) {
-    try {
-      fd = net::tcp_connect(host, port);
-    } catch (const std::exception&) {
-    }
-  }
-  if (fd < 0) {
-    conn->send(framed_json(mode, error_json("watch: backend '" +
-                                                route.endpoint +
-                                                "' unreachable",
-                                            "", id)));
-    return;
-  }
-  if (!write_line(fd, "{\"op\":\"watch\",\"id\":" +
-                          std::to_string(route.router_id) + "}")) {
-    ::close(fd);
+  const int fd = net::dial(route.endpoint, kWatchDialSeconds, &stopping);
+  if (fd < 0 || !write_line(fd, "{\"op\":\"watch\",\"id\":" +
+                                    std::to_string(route.router_id) + "}")) {
+    if (fd >= 0) ::close(fd);
     conn->send(framed_json(mode, error_json("watch: backend '" +
                                                 route.endpoint +
                                                 "' unreachable",
@@ -1225,39 +1181,28 @@ void Router::Impl::watch_relay(const rnet::ConnPtr& conn, std::int64_t id,
   // forwarded id; swap it for the id the client knows.
   const std::string from = "{\"id\":" + std::to_string(route.router_id);
   const std::string to = "{\"id\":" + std::to_string(id);
-  timeval nap{0, 200 * 1000};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &nap, sizeof nap);
   net::LineBuffer buffer;
-  char chunk[8192];
-  bool done = false;
-  while (!done && !stopping.load(std::memory_order_relaxed)) {
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Idle: a client that hung up mid-solve must release this thread
-      // (and the backend's) promptly.
-      if (conn->closed() || stopping.load(std::memory_order_relaxed)) break;
+  std::string line;
+  while (!stopping.load(std::memory_order_relaxed)) {
+    // Short read windows: a client that hung up mid-solve must release
+    // this thread (and the backend's subscription) promptly.
+    const net::Read got = net::read_line(fd, buffer, line, 0.2);
+    if (got == net::Read::Closed) break;
+    if (got == net::Read::Timeout) {
+      if (conn->closed()) break;
       continue;
     }
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::string line;
-    while (buffer.pop(line)) {
-      if (line.rfind(from, 0) == 0) line = to + line.substr(from.size());
-      const bool final_line =
-          line.find("\"done\":true") != std::string::npos ||
-          line.find("\"error\"") != std::string::npos;
-      // Intermediate frames ride try_send — watch is diagnostics, not data
-      // plane, so a slow watcher loses frames rather than stalling the
-      // relay. The terminal line uses send: it must arrive or the
-      // connection is already gone.
-      const bool ok = final_line ? conn->send(framed_json(mode, line))
-                                 : conn->try_send(framed_json(mode, line));
-      if (!ok || line.find("\"done\":true") != std::string::npos) {
-        done = true;
-        break;
-      }
-    }
+    if (line.rfind(from, 0) == 0) line = to + line.substr(from.size());
+    // Intermediate frames ride try_send — watch is diagnostics, not data
+    // plane, so a slow watcher loses frames rather than stalling the
+    // relay. The terminal line (done or error) uses send: it must arrive
+    // or the connection is already gone.
+    const bool final_line =
+        line.find("\"done\":true") != std::string::npos ||
+        line.find("\"error\"") != std::string::npos;
+    const bool ok = final_line ? conn->send(framed_json(mode, line))
+                               : conn->try_send(framed_json(mode, line));
+    if (!ok || final_line) break;
   }
   ::close(fd);
 }
@@ -2029,7 +1974,10 @@ void Router::start() {
 
   impl.reactor = std::make_unique<rnet::ReactorServer>(
       std::move(reactor_options), std::move(callbacks));
-  impl.reactor->start();
+  // Listen first, serve last: the self endpoint needs the bound port, and
+  // handlers read `lease` without a lock, so it must exist before the
+  // first peer message can reach a worker.
+  impl.reactor->listen();
   impl.self_endpoint =
       impl.options.advertise.empty()
           ? impl.options.host + ":" + std::to_string(impl.reactor->port())
@@ -2041,6 +1989,7 @@ void Router::start() {
         std::chrono::duration<double, std::milli>(impl.options.lease_ttl_ms));
     impl.lease = std::make_unique<cluster::LeaderLease>(lease_options);
   }
+  impl.reactor->start();
   impl.stopping = false;
   impl.running = true;
   impl.health_thread = std::thread([&impl]() { impl.health_loop(); });

@@ -1,15 +1,19 @@
-// Shared socket + line-framing plumbing for the server, client, and router.
+// Shared socket + line-framing plumbing for the server, client, and router,
+// and the one timed blocking exchange the control plane uses.
 
 #include "service/net.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -41,57 +45,158 @@ std::string error_json(const std::string& message, const std::string& label,
   return out;
 }
 
-bool write_line(int fd, std::string line) {
-  line += '\n';
+bool write_all(int fd, const std::string& bytes) {
   // Fault-injection seam: a drill can stall the write, drop it outright, or
-  // tear it mid-line (send a prefix, then shoot the connection) so peers see
-  // the same half-open/partial-frame failures a flaky network produces.
+  // tear it mid-message (send a prefix, then shoot the connection) so peers
+  // see the same half-open/partial-frame failures a flaky network produces.
   fault::maybe_delay();
   if (fault::should_drop_write()) {
     ::shutdown(fd, SHUT_RDWR);
     return false;
   }
-  const std::size_t limit = fault::maybe_tear(line.size());
+  const std::size_t limit = fault::maybe_tear(bytes.size());
   std::size_t sent = 0;
   while (sent < limit) {
     const ssize_t n =
-        ::send(fd, line.data() + sent, limit - sent, MSG_NOSIGNAL);
+        ::send(fd, bytes.data() + sent, limit - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
     sent += static_cast<std::size_t>(n);
   }
-  if (limit < line.size()) {  // torn: the peer never sees the newline
+  if (limit < bytes.size()) {  // torn: the peer never sees the whole
     ::shutdown(fd, SHUT_RDWR);
     return false;
   }
   return true;
 }
 
-int tcp_connect(const std::string& host, std::uint16_t port) {
-  if (fault::should_drop_connect()) {
-    errno = ECONNREFUSED;
-    sys_fail("connect " + host + ":" + std::to_string(port) +
-             " (injected fault)");
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) sys_fail("socket");
+bool write_line(int fd, std::string line) {
+  line += '\n';
+  return write_all(fd, line);
+}
+
+int dial(const std::string& endpoint, double timeout_s,
+         const std::atomic<bool>* stop) {
+  std::string host;
+  std::uint16_t port = 0;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
+  if (!parse_endpoint(endpoint, host, port) ||
+      ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    errno = EINVAL;
+    return -1;
+  }
   addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw std::runtime_error("bad host '" + host + "'");
+  if (fault::should_drop_connect()) {
+    errno = ECONNREFUSED;
+    return -1;
   }
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (fd < 0) return -1;
+  const auto fail = [fd](int error) {
+    ::close(fd);
+    errno = error;
+    return -1;
+  };
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    sys_fail("connect " + host + ":" + std::to_string(port));
+    if (errno != EINPROGRESS) return fail(errno);
+    // Poll in slices so a stop flag lands within ~50 ms even against an
+    // unroutable peer, instead of after the kernel's SYN timeout.
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double>(timeout_s);
+    while (true) {
+      if (stop != nullptr && stop->load(std::memory_order_relaxed))
+        return fail(ECANCELED);
+      if (timeout_s > 0 && std::chrono::steady_clock::now() >= deadline)
+        return fail(ETIMEDOUT);
+      pollfd waiter{fd, POLLOUT, 0};
+      const int ready = ::poll(&waiter, 1, 50);
+      if (ready < 0 && errno != EINTR) return fail(errno);
+      if (ready <= 0) continue;
+      int error = 0;
+      socklen_t length = sizeof error;
+      if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &length) != 0)
+        return fail(errno);
+      if (error != 0) return fail(error);
+      break;
+    }
   }
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) & ~O_NONBLOCK);
   set_tcp_nodelay(fd);
   return fd;
+}
+
+int tcp_connect(const std::string& host, std::uint16_t port) {
+  const std::string endpoint = host + ":" + std::to_string(port);
+  const int fd = dial(endpoint, 0.0);
+  if (fd < 0) sys_fail("connect " + endpoint);
+  return fd;
+}
+
+Read recv_some(int fd, std::string& out, double timeout_s) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(timeout_s);
+  char chunk[16384];
+  while (true) {
+    if (timeout_s > 0) {  // untimed reads block in recv itself
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) return Read::Timeout;
+      pollfd waiter{fd, POLLIN, 0};
+      const int ready = ::poll(&waiter, 1, static_cast<int>(left.count()));
+      if (ready < 0 && errno != EINTR) return Read::Closed;
+      if (ready <= 0) continue;
+    }
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n > 0) {
+      out.append(chunk, static_cast<std::size_t>(n));
+      return Read::Ok;
+    }
+    if (n == 0 || (errno != EINTR && errno != EAGAIN)) return Read::Closed;
+  }
+}
+
+Read read_line(int fd, LineBuffer& buffer, std::string& line,
+               double timeout_s) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(timeout_s);
+  std::string bytes;
+  while (!buffer.pop(line)) {
+    const double left =
+        timeout_s > 0 ? std::chrono::duration<double>(
+                            deadline - std::chrono::steady_clock::now())
+                            .count()
+                      : 0.0;
+    if (timeout_s > 0 && left <= 0) return Read::Timeout;
+    bytes.clear();
+    const Read got = recv_some(fd, bytes, left);
+    if (got != Read::Ok) return got;
+    buffer.append(bytes.data(), bytes.size());
+  }
+  return Read::Ok;
+}
+
+std::optional<std::string> call(const std::string& endpoint,
+                                const std::string& line, double timeout_s,
+                                const std::atomic<bool>* stop) {
+  const int fd = dial(endpoint, timeout_s, stop);
+  if (fd < 0) return std::nullopt;
+  // A stuck peer must not wedge the caller on a full send buffer either.
+  timeval window{};
+  window.tv_sec = static_cast<time_t>(timeout_s);
+  window.tv_usec = static_cast<suseconds_t>(
+      (timeout_s - static_cast<double>(window.tv_sec)) * 1e6);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &window, sizeof window);
+  LineBuffer buffer;
+  std::string reply;
+  const bool answered =
+      write_line(fd, line) &&
+      read_line(fd, buffer, reply, timeout_s) == Read::Ok;
+  ::close(fd);
+  if (!answered) return std::nullopt;
+  return reply;
 }
 
 bool parse_endpoint(const std::string& text, std::string& host,
@@ -149,14 +254,6 @@ bool LineBuffer::pop(std::string& line) {
   if (nl == std::string::npos) return false;
   line = buffer_.substr(0, nl);
   buffer_.erase(0, nl + 1);
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return true;
-}
-
-bool LineBuffer::flush(std::string& line) {
-  if (buffer_.empty()) return false;
-  line.swap(buffer_);
-  buffer_.clear();
   if (!line.empty() && line.back() == '\r') line.pop_back();
   return true;
 }

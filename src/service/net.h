@@ -6,19 +6,22 @@
 ///
 /// The wire protocol is newline-delimited JSON over TCP; every process in
 /// the topology — `ebmf serve`, `ebmf route`, `ebmf client` — needs the
-/// same four pieces: a listener with a pollable accept loop, a blocking
-/// connect, a full-line writer that survives partial sends, and a byte
-/// buffer that frames complete lines out of recv chunks. They lived inline
-/// in service.cpp while the server was the only user; the router made them
-/// a shared seam.
+/// same pieces: a listener with a pollable accept loop, a timed connect, a
+/// full writer that survives partial sends, a byte buffer that frames
+/// complete lines out of recv chunks, and one timed blocking exchange
+/// (dial, write, read one reply) for control-plane traffic — peer sync,
+/// announce, fleet scrapes.
 ///
 /// Also here: the protocol's error-reply renderer and the `"id"` prefix
 /// helpers the router uses to match pipelined backend replies to their
 /// requests (responses carry the id as their first member, so the match
 /// needs no full JSON parse on the hot path).
 
+#include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 
 namespace ebmf::service::net {
 
@@ -34,16 +37,28 @@ void set_tcp_nodelay(int fd);
 std::string error_json(const std::string& message, const std::string& label,
                        std::int64_t id = -1);
 
-/// Send `line` + '\n' fully; false when the peer is gone (errno is left
+/// Send `bytes` (a framed line or a whole binary frame) fully, through the
+/// fault-injection write seams; false when the peer is gone (errno is left
 /// describing the failure).
-bool write_line(int fd, std::string line);
+bool write_all(int fd, const std::string& bytes);
 
-/// Blocking IPv4 connect; returns the fd or throws std::runtime_error.
-int tcp_connect(const std::string& host, std::uint16_t port);
+/// write_all(line + '\n').
+bool write_line(int fd, std::string line);
 
 /// Split "host:port" (port 1..65535). False on malformed input.
 bool parse_endpoint(const std::string& text, std::string& host,
                     std::uint16_t& port);
+
+/// Connect to "host:port" within `timeout_s` (<= 0: no limit), polling in
+/// 50 ms slices so a set `*stop` abandons the dial promptly. Goes through
+/// the EBMF_FAULT connect seam. Returns a blocking TCP_NODELAY fd, or -1
+/// with errno describing the failure.
+int dial(const std::string& endpoint, double timeout_s,
+         const std::atomic<bool>* stop = nullptr);
+
+/// dial() without a time limit; returns the fd or throws
+/// std::runtime_error (errno text).
+int tcp_connect(const std::string& host, std::uint16_t port);
 
 /// If `line` is an object whose first member is `"id": <uint>`, extract the
 /// id and rewrite `line` without it (`{"id":7,"x":1}` -> `{"x":1}`). False
@@ -55,8 +70,7 @@ bool strip_id_prefix(std::string& line, std::uint64_t& id);
 std::string with_id_prefix(const std::string& line, std::int64_t id);
 
 /// Frames complete '\n'-terminated lines (CR trimmed) out of appended
-/// chunks. flush() hands back a trailing unterminated line — `printf | nc`
-/// clients do not always send the final newline.
+/// chunks.
 class LineBuffer {
  public:
   void append(const char* data, std::size_t n) { buffer_.append(data, n); }
@@ -64,14 +78,36 @@ class LineBuffer {
   /// Pop the next complete line; false when none is buffered.
   bool pop(std::string& line);
 
-  /// Pop the unterminated tail (EOF handling); false when empty.
-  bool flush(std::string& line);
+  /// Hand back every buffered byte verbatim (a protocol switch: what
+  /// follows the upgrade ack is frames, not lines).
+  std::string release() { return std::exchange(buffer_, {}); }
 
   [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
 
  private:
   std::string buffer_;
 };
+
+/// Outcome of a timed read.
+enum class Read { Ok, Timeout, Closed };
+
+/// Wait up to `timeout_s` (<= 0: no limit) for bytes on `fd` and append
+/// one recv's worth to `out`. Closed on EOF or a socket error.
+Read recv_some(int fd, std::string& out, double timeout_s = 0.0);
+
+/// Block up to `timeout_s` (<= 0: no limit) for one whole '\n'-terminated
+/// line on `fd`, framed through `buffer` (bytes past the line stay
+/// there). An unterminated tail at EOF is Closed, never a line: a reply
+/// torn by a dying peer must not pass for a whole one.
+Read read_line(int fd, LineBuffer& buffer, std::string& line,
+               double timeout_s = 0.0);
+
+/// The timed blocking exchange: dial `endpoint`, send `line`, and read one
+/// reply line, each step within `timeout_s`. nullopt when the peer is
+/// unreachable, hung up, or stayed silent.
+std::optional<std::string> call(const std::string& endpoint,
+                                const std::string& line, double timeout_s,
+                                const std::atomic<bool>* stop = nullptr);
 
 /// A bound, listening IPv4 socket with a poll-based accept step — the
 /// accept-loop shape both Server and Router run (poll with a timeout so the

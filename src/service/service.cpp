@@ -7,10 +7,6 @@
 
 #include "service/service.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -53,6 +49,9 @@
 namespace ebmf::service {
 
 namespace {
+
+/// Announce sessions bound each dial and each reply wait by this window.
+constexpr double kAnnounceWindowSeconds = 2.0;
 
 using net::error_json;
 using net::write_line;
@@ -139,17 +138,6 @@ struct Server::Impl {
   std::atomic<bool> running{false};
   std::atomic<bool> stopping{false};
 
-  /// One watch stream = one tracked thread writing through conn->try_send
-  /// (never blocking an event loop or a reactor worker for the lifetime of
-  /// someone else's solve). Finished threads are reaped on the next watch;
-  /// stop() joins the rest.
-  struct WatchThread {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::mutex watch_mutex;
-  std::vector<WatchThread> watch_threads;
-
   /// The announce clients' live sockets, one slot per router in the
   /// (comma-separated) --announce list; -1 when that session is down.
   /// stop() shuts them down (under the mutex, so a concurrent close/reuse
@@ -194,16 +182,11 @@ struct Server::Impl {
   std::string handle_put(const io::WireRequest& wire);
   void handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
                     rnet::WireMode mode);
-  void watch_stream(const rnet::ConnPtr& conn,
-                    const obs::ProgressSinkPtr& sink, std::int64_t id,
-                    rnet::WireMode mode);
-  void reap_watch_threads(bool join_all);
   void log_slow(const engine::SolveReport& report, double elapsed_ms,
                 const std::string& trace_id);
   std::string advertised_endpoint() const;
-  int dial_announce(const std::string& host, std::uint16_t port);
-  bool announce_round(const std::string& host, std::uint16_t port,
-                      const std::string& self, std::size_t slot);
+  bool announce_round(const std::string& router, const std::string& self,
+                      std::size_t slot);
   void announce_loop(std::string router, std::size_t slot);
   void process_batch(const rnet::ConnPtr& conn,
                      std::vector<rnet::Message> messages);
@@ -264,24 +247,15 @@ std::string Server::Impl::stats_json(std::int64_t id) const {
   return out.str();
 }
 
-namespace {
-
-std::string watch_frame_line(std::int64_t id, const obs::ProgressFrame& f) {
-  std::string line = obs::progress_frame_json(f);
-  if (id >= 0 && !line.empty() && line.front() == '{')
-    line = "{\"id\":" + std::to_string(id) + "," + line.substr(1);
-  return line;
-}
-
-}  // namespace
-
 /// `{"op":"watch","id":N}`: stream the named in-flight solve's progress
 /// frames to this connection as JSONL (framed per the connection's wire
-/// mode), then a final `{"done":true}` line when the solve retires. The
-/// stream runs on its own tracked thread so it never occupies a reactor
-/// worker for the lifetime of someone else's solve; the publishing solver
-/// is never blocked either — frames flow through conn->try_send, which
-/// drops on backpressure and reports a closed connection.
+/// mode), then a final `{"done":true}` line when the solve retires. No
+/// thread serves the stream: the sink replays its history and registers
+/// the listener under one lock, every publish enqueues onto the
+/// connection's reactor write queue through try_send (which drops frames a
+/// slow watcher can't absorb and is false only once the connection is
+/// closed — unsubscribing the listener), and finish() enqueues the done
+/// line.
 void Server::Impl::handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
                                 rnet::WireMode mode) {
   obs::ProgressSinkPtr sink;
@@ -297,77 +271,18 @@ void Server::Impl::handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
                          "", id)));
     return;
   }
-  reap_watch_threads(false);
-  auto done = std::make_shared<std::atomic<bool>>(false);
-  WatchThread watcher;
-  watcher.done = done;
-  watcher.thread = std::thread([this, conn, sink, id, mode, done]() {
-    watch_stream(conn, sink, id, mode);
-    done->store(true, std::memory_order_release);
-  });
-  const std::lock_guard<std::mutex> lock(watch_mutex);
-  watch_threads.push_back(std::move(watcher));
-}
-
-void Server::Impl::watch_stream(const rnet::ConnPtr& conn,
-                                const obs::ProgressSinkPtr& sink,
-                                std::int64_t id, rnet::WireMode mode) {
-  // Replay the retained history first, so a late subscriber still sees the
-  // whole trajectory; the live subscription then filters to newer frames.
-  bool dead = false;
-  std::uint64_t last_seq = 0;
-  for (const obs::ProgressFrame& frame : sink->frames()) {
-    last_seq = frame.seq;
-    if (!conn->try_send(framed_json(mode, watch_frame_line(id, frame)))) {
-      dead = true;
-      break;
-    }
-  }
-  std::uint64_t token = 0;
-  if (!dead) {
-    token = sink->subscribe(
-        [conn, mode, last_seq, id](const obs::ProgressFrame& frame) {
-          if (frame.seq <= last_seq) return true;  // replayed already
-          // try_send drops frames a slow subscriber can't absorb (watch is
-          // diagnostics, not data plane) and is false only on a closed
-          // connection — which unsubscribes this listener.
-          return conn->try_send(framed_json(mode, watch_frame_line(id, frame)));
-        });
-  }
-  while (!dead && !stopping.load(std::memory_order_relaxed) &&
-         !conn->closed()) {
-    if (sink->wait_finished(0.05)) break;
-  }
-  if (token != 0) sink->unsubscribe(token);
-  if (!dead && !conn->closed()) {
-    std::string done_line = "{";
-    if (id >= 0) done_line += "\"id\":" + std::to_string(id) + ",";
-    done_line += "\"watch\":true,\"done\":true,\"frames\":" +
-                 std::to_string(sink->published()) + "}";
-    conn->send(framed_json(mode, done_line));
-  }
-}
-
-/// Join watch threads that have finished (every spawn), or all of them
-/// (stop() — they exit promptly once `stopping` is set and the drained
-/// solves finish their sinks).
-void Server::Impl::reap_watch_threads(bool join_all) {
-  std::vector<std::thread> joinable;
-  {
-    const std::lock_guard<std::mutex> lock(watch_mutex);
-    for (std::size_t i = 0; i < watch_threads.size();) {
-      if (join_all ||
-          watch_threads[i].done->load(std::memory_order_acquire)) {
-        joinable.push_back(std::move(watch_threads[i].thread));
-        watch_threads.erase(watch_threads.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-  }
-  for (std::thread& thread : joinable)
-    if (thread.joinable()) thread.join();
+  sink->subscribe(
+      [conn, mode, id](const obs::ProgressFrame& frame) {
+        return conn->try_send(framed_json(
+            mode, net::with_id_prefix(obs::progress_frame_json(frame), id)));
+      },
+      [conn, mode, id](std::uint64_t published) {
+        conn->send(framed_json(
+            mode, net::with_id_prefix("{\"watch\":true,\"done\":true,"
+                                      "\"frames\":" +
+                                          std::to_string(published) + "}",
+                                      id)));
+      });
 }
 
 /// One slow-request JSON line: wall-clock, trace id (when traced), the
@@ -441,79 +356,15 @@ std::string Server::Impl::advertised_endpoint() const {
   return options.host + ":" + std::to_string(bound);
 }
 
-namespace {
-
-/// Block for one reply line on `fd` into `buffer`. False on EOF/error.
-bool read_reply_line(int fd, net::LineBuffer& buffer, std::string& line) {
-  char chunk[4096];
-  while (true) {
-    if (buffer.pop(line)) return true;
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n > 0) {
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-}
-
-}  // namespace
-
-/// Announce-path connect: a non-blocking dial polled in slices (so stop()
-/// lands within ~50 ms even against an unroutable router, instead of the
-/// kernel SYN timeout), then a bounded recv window (so a router that
-/// accepts but never answers cannot wedge the announce thread — stop()
-/// joins it). Returns -1 on any failure; the caller retries.
-int Server::Impl::dial_announce(const std::string& host, std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    if (errno != EINPROGRESS) {
-      ::close(fd);
-      return -1;
-    }
-    bool connected = false;
-    for (int slice = 0;
-         slice < 40 && !stopping.load(std::memory_order_relaxed); ++slice) {
-      pollfd waiter{fd, POLLOUT, 0};
-      const int ready = ::poll(&waiter, 1, 50);
-      if (ready < 0 && errno == EINTR) continue;
-      if (ready != 0) {
-        int error = 0;
-        socklen_t length = sizeof error;
-        connected = ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error,
-                                 &length) == 0 &&
-                    error == 0;
-        break;
-      }
-    }
-    if (!connected) {
-      ::close(fd);
-      return -1;
-    }
-  }
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-  timeval window{};
-  window.tv_sec = 2;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &window, sizeof window);
-  return fd;
-}
-
 /// One announce session: dial the router, join, then heartbeat until the
 /// session breaks (router gone, eviction notice, or stop()). Returns true
 /// when the session ended because of stop() — the loop must not retry.
-bool Server::Impl::announce_round(const std::string& host, std::uint16_t port,
+bool Server::Impl::announce_round(const std::string& router,
                                   const std::string& self, std::size_t slot) {
-  const int fd = dial_announce(host, port);
+  // A timed dial that stop() cuts short, then a bounded window per reply
+  // (a router that accepts but never answers cannot wedge this thread —
+  // stop() joins it).
+  const int fd = net::dial(router, kAnnounceWindowSeconds, &stopping);
   if (fd < 0) return stopping.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(announce_mutex);
@@ -526,7 +377,8 @@ bool Server::Impl::announce_round(const std::string& host, std::uint16_t port,
   bool stopped = false;
   bool joined = false;
   if (write_line(fd, "{\"op\":\"join\"," + endpoint_json) &&
-      read_reply_line(fd, buffer, reply))
+      net::read_line(fd, buffer, reply, kAnnounceWindowSeconds) ==
+          net::Read::Ok)
     joined = reply.find("\"joined\":true") != std::string::npos;
   // A router that answered but refused (not --dynamic, bad endpoint) must
   // not be indistinguishable from an unreachable one: the reject counter
@@ -548,7 +400,9 @@ bool Server::Impl::announce_round(const std::string& host, std::uint16_t port,
       }
       if ((stopped = stopping.load(std::memory_order_relaxed))) break;
       if (!write_line(fd, "{\"op\":\"heartbeat\"," + endpoint_json)) break;
-      if (!read_reply_line(fd, buffer, reply)) break;
+      if (net::read_line(fd, buffer, reply, kAnnounceWindowSeconds) !=
+          net::Read::Ok)
+        break;
       if (reply.find("\"rejoin\":true") != std::string::npos) break;
     }
   }
@@ -577,7 +431,7 @@ void Server::Impl::announce_loop(std::string router, std::size_t slot) {
   std::uint16_t port = 0;
   if (!net::parse_endpoint(router, host, port)) return;
   const std::string self = advertised_endpoint();
-  while (!announce_round(host, port, self, slot)) {
+  while (!announce_round(router, self, slot)) {
     // Router unreachable or session broken: pause one heartbeat before
     // re-dialing (also in slices, for prompt stop()).
     const auto deadline =
@@ -731,8 +585,8 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
       continue;
     }
     if (wire.op == io::WireOp::Watch) {
-      // Streams on this connection from a dedicated thread until the
-      // watched solve retires; the batch moves on immediately.
+      // Streams on this connection from the solve's own publishes until
+      // it retires; the batch moves on immediately.
       impl.handle_watch(conn, wire.id, p.mode);
       p.skip = true;
       continue;
@@ -1101,9 +955,6 @@ void Server::stop() {
     impl.reactor->shutdown();
   }
 
-  // 2. Watch streams exit on `stopping` + their sinks finishing.
-  impl.reap_watch_threads(true);
-
   // Flush-on-drain: the tail of the slow log and trace file must survive
   // the SIGTERM that triggered this stop.
   impl.slow_file.flush();
@@ -1148,6 +999,38 @@ constexpr std::size_t kAnsweredCap = 1024;
 /// is mid-election; fall back to ordinary rotation instead of looping.
 constexpr std::size_t kRedirectHops = 4;
 
+/// Decode one reply frame back to the JSON line the line protocol would
+/// have produced (see the Client class comment).
+std::string normalize_reply(const rnet::Frame& frame) {
+  switch (frame.type) {
+    case rnet::kFrameJson:
+      return frame.payload;
+    case rnet::kFrameError: {
+      const io::BinaryError be = io::parse_binary_error(frame.payload);
+      return error_json(be.message, be.label, be.id);
+    }
+    case rnet::kFrameSolveReport: {
+      const io::BinaryReply br = io::parse_binary_report(frame.payload);
+      std::string reply = io::wire_response_json(
+          br.report, br.render_partition && !br.report.partition.empty(),
+          br.id);
+      const auto splice = [&reply](const std::string& key,
+                                   const std::string& body) {
+        if (body.empty() || reply.empty() || reply.back() != '}') return;
+        reply.pop_back();
+        reply += "," + key + ":" + body + "}";
+      };
+      splice("\"events\"", br.events_json);
+      if (!br.spans_json.empty())
+        splice("\"trace\"", "{\"spans\":" + br.spans_json + "}");
+      return reply;
+    }
+    default:
+      throw std::runtime_error("unexpected reply frame type " +
+                               std::to_string(frame.type));
+  }
+}
+
 }  // namespace
 
 Client::Client(const std::vector<std::string>& endpoints)
@@ -1175,17 +1058,41 @@ Client::Client(const std::string& host, std::uint16_t port)
 Client::~Client() { close(); }
 
 bool Client::connect_to(const std::string& endpoint) {
-  std::string host;
-  std::uint16_t port = 0;
-  if (!net::parse_endpoint(endpoint, host, port)) return false;
   close();
-  buffer_.clear();
-  try {
-    fd_ = net::tcp_connect(host, port);
-  } catch (const std::exception&) {
+  lines_ = net::LineBuffer();
+  frames_ = rnet::FrameBuffer(kMaxReplyPayload);
+  binary_ = false;
+  fd_ = net::dial(endpoint, 0.0);
+  if (fd_ < 0) return false;
+  connected_ = endpoint;
+  if (!want_binary_ || negotiate()) return true;
+  close();
+  return false;
+}
+
+bool Client::upgrade() {
+  want_binary_ = true;
+  if (fd_ < 0) throw std::runtime_error("client is closed");
+  // A connection lost mid-negotiation fails over like any other send;
+  // the fresh connection negotiates on its own (want_binary_ is set).
+  if (!binary_ && !negotiate() && !reconnect())
+    throw std::runtime_error("connection lost awaiting upgrade");
+  return binary_;
+}
+
+bool Client::negotiate() {
+  // The ack is the connection's last line-framed reply; buffered bytes
+  // after its newline (possible when requests were pipelined behind the
+  // upgrade) already belong to the frame protocol.
+  std::string ack;
+  if (!net::write_line(fd_, "{\"op\":\"upgrade\"}") ||
+      net::read_line(fd_, lines_, ack) != net::Read::Ok)
     return false;
+  binary_ = ack.find("\"upgraded\":true") != std::string::npos;
+  if (binary_) {
+    const std::string rest = lines_.release();
+    frames_.append(rest.data(), rest.size());
   }
-  connected_ = host + ":" + std::to_string(port);
   return true;
 }
 
@@ -1217,55 +1124,71 @@ bool Client::reconnect(std::size_t rounds) {
   return false;
 }
 
-bool Client::record_answered(std::int64_t id, std::size_t line_hash,
-                             const std::string& reply) {
-  if (id < 0) return true;  // un-id'd requests cannot be deduped
-  for (const auto& entry : answered_)
-    if (entry.id == id && entry.line_hash == line_hash) return false;
-  if (answered_.size() >= kAnsweredCap)
-    answered_.erase(answered_.begin());
-  answered_.push_back(Answered{id, line_hash, reply});
-  return true;
-}
-
-void Client::send_line(const std::string& line) {
+void Client::transmit(const std::string* json, const io::WireRequest* wire) {
   if (fd_ < 0) throw std::runtime_error("client is closed");
-  if (write_line(fd_, line)) return;
+  // Encoded per attempt: a failover may land on a server that declines
+  // the upgrade.
+  const auto encoded = [&]() {
+    if (binary_ && wire != nullptr && wire->op == io::WireOp::Solve &&
+        !wire->request.masked)
+      return rnet::encode_frame(rnet::kFrameSolveRequest,
+                                io::binary_request_payload(*wire));
+    std::string text = json ? *json : io::wire_request_json(*wire);
+    if (binary_) return rnet::encode_frame(rnet::kFrameJson, text);
+    if (text.empty() || text.back() != '\n') text += '\n';
+    return text;
+  };
+  if (net::write_all(fd_, encoded())) return;
   // A reset peer (restarting backend, failed-over router) rotates to the
   // next address of the list; any other failure propagates immediately.
   if ((errno == ECONNRESET || errno == EPIPE) && reconnect() &&
-      write_line(fd_, line))
+      net::write_all(fd_, encoded()))
     return;
   net::sys_fail("send");
 }
 
+void Client::send_line(const std::string& line) { transmit(&line, nullptr); }
+
+void Client::send_request(const io::WireRequest& wire) {
+  transmit(nullptr, &wire);
+}
+
 std::string Client::read_line() {
   if (fd_ < 0) throw std::runtime_error("client is closed");
-  char chunk[16384];
+  if (!binary_) {
+    std::string line;
+    if (net::read_line(fd_, lines_, line) != net::Read::Ok)
+      throw std::runtime_error("server closed the connection");
+    return line;
+  }
+  rnet::Frame frame;
+  std::string bytes;
   while (true) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
+    switch (frames_.pop(&frame)) {
+      case rnet::FrameBuffer::Pop::Ok:
+        return normalize_reply(frame);
+      case rnet::FrameBuffer::Pop::Bad:
+        throw std::runtime_error("malformed reply frame: " + frames_.error());
+      case rnet::FrameBuffer::Pop::NeedMore:
+        break;
     }
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n > 0) {
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (!buffer_.empty()) {
-      std::string line;
-      line.swap(buffer_);
-      return line;
-    }
-    throw std::runtime_error("server closed the connection");
+    bytes.clear();
+    if (net::recv_some(fd_, bytes) != net::Read::Ok)
+      throw std::runtime_error("server closed the connection");
+    frames_.append(bytes.data(), bytes.size());
   }
 }
 
 std::string Client::round_trip(const std::string& line) {
+  return exchange(line, nullptr);
+}
+
+std::string Client::round_trip(const io::WireRequest& wire) {
+  return exchange(io::wire_request_json(wire), &wire);
+}
+
+std::string Client::exchange(const std::string& line,
+                             const io::WireRequest* wire) {
   // Exactly-once for the caller: an id this client already saw answered is
   // served from the cache — the earlier send landed, and re-submitting
   // would make a counting server (or the caller's own tally) see it twice.
@@ -1275,48 +1198,47 @@ std::string Client::round_trip(const std::string& line) {
     for (const auto& entry : answered_)
       if (entry.id == id && entry.line_hash == line_hash) return entry.reply;
 
+  const auto send = [&]() { transmit(&line, wire); };
   std::string reply;
-  bool have_reply = false;
   try {
-    send_line(line);
+    send();
     reply = read_line();
-    have_reply = true;
   } catch (const std::runtime_error&) {
     // The connection died between send and reply (peer restarted, fleet
-    // failing over). Solve and stats requests are idempotent, so re-send
-    // over the next live address; a second failure propagates.
+    // failing over, reply torn mid-line). Solve and stats requests are
+    // idempotent, so re-send over the next live address; a second failure
+    // propagates.
     if (!reconnect()) throw;
-    send_line(line);
+    send();
     reply = read_line();
-    have_reply = true;
   }
 
   // Chase follower redirects: reconnect to the named leaseholder and
   // re-send there. A stale redirect (old epoch, dead holder) just fails
   // the dial and falls back to rotation.
-  for (std::size_t hop = 0; have_reply && hop < kRedirectHops; ++hop) {
-    std::string target;
-    std::uint64_t epoch = 0;
-    std::uint64_t term = 0;
+  std::string target;
+  std::uint64_t epoch = 0;
+  std::uint64_t term = 0;
+  for (std::size_t hop = 0; hop < kRedirectHops; ++hop) {
     if (!io::parse_wire_redirect(reply, &target, &epoch, &term)) break;
     if (!connect_to(target) && !reconnect()) break;
-    send_line(line);
+    send();
     reply = read_line();
   }
 
   // Only *answers* are cached for dedupe. An error or an unresolved
   // redirect means the request was not executed — a retry must reach the
   // fleet again, not be served the failure forever.
-  std::string target;
-  std::uint64_t epoch = 0;
-  std::uint64_t term = 0;
   const bool unresolved =
       io::parse_wire_redirect(reply, &target, &epoch, &term) ||
       reply.rfind("{\"error\"", 0) == 0 ||
       (reply.rfind("{\"id\":", 0) == 0 &&
        reply.find(",\"error\":") != std::string::npos &&
        reply.find(",\"error\":") < 24);
-  if (!unresolved) record_answered(id, line_hash, reply);
+  if (!unresolved && id >= 0) {
+    if (answered_.size() >= kAnsweredCap) answered_.erase(answered_.begin());
+    answered_.push_back(Answered{id, line_hash, reply});
+  }
   return reply;
 }
 

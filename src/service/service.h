@@ -45,7 +45,10 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "io/request_io.h"
+#include "net/frame.h"
 #include "service/cache.h"
+#include "service/net.h"
 
 namespace ebmf::service {
 
@@ -143,17 +146,30 @@ class Server {
   std::unique_ptr<Impl> impl_;
 };
 
-/// A minimal blocking client for the wire protocol: one connection at a
-/// time, line round-trips. Used by `ebmf client`, the tests, and the
-/// smoke/drill jobs.
+/// The blocking client for the wire protocol: one connection at a time,
+/// caller-driven pipelining. Used by `ebmf client`, bench_service, the
+/// tests, and the smoke/drill jobs.
 ///
-/// Resilience (HA, PR 8): the client holds an *address list* — any mix of
-/// routers and backends — and fails over across it:
+/// Wire modes: a connection starts on line JSON; upgrade() negotiates the
+/// binary frame protocol (net/frame.h). Once upgraded, send_request()
+/// ships plain solves as type-1 frames and everything else as type-4 JSON
+/// frames, and read_line() normalizes whatever the wire carried (JSON
+/// line, type-4 JSON frame, type-2 binary report, type-3 binary error)
+/// back to the JSON text the line protocol would have produced for the
+/// same exchange — so callers diff replies across wire modes byte for
+/// byte. (One deviation: a binary report's trace member carries spans
+/// only; the trace id travels in the request, so the caller has it.)
+///
+/// Resilience: the client holds an *address list* — any mix of routers
+/// and backends — and fails over across it, in either wire mode:
 ///
 ///  * **Connect/reset failover.** A refused dial or mid-flight reset
 ///    rotates to the next address; full rotations back off exponentially
 ///    (capped, jittered) so a briefly-dark fleet is ridden out rather than
-///    hammered. round_trip() re-sends its line over the fresh connection.
+///    hammered. round_trip() re-sends its request over the fresh
+///    connection, which negotiates the upgrade again when the client had
+///    upgraded. A reply torn by a dying peer counts as a lost connection,
+///    never as an answer.
 ///  * **Redirect chasing.** A follower's epoch-stamped
 ///    `{"redirect":"host:port",...}` reply makes the client reconnect to
 ///    the named leaseholder and re-send — bounded hops, so a redirect loop
@@ -162,13 +178,12 @@ class Server {
 ///    the client converges on the live leaseholder.
 ///  * **Request-id dedupe.** Replies are deduped by `"id"` plus the
 ///    request line itself (an id reused for a *different* request is not a
-///    retry and still reaches the server): a retried
-///    request whose first send actually landed is answered exactly once —
-///    the duplicate reply (same id, already-answered) is dropped, and a
-///    re-sent already-answered id returns the cached reply instead of
-///    dialing again. Solve requests are idempotent, which is what makes
-///    the re-send safe in the first place; the dedupe makes it *counted*
-///    safe for callers tallying replies.
+///    retry and still reaches the server): a retried request whose first
+///    send actually landed is answered exactly once — a re-sent
+///    already-answered id returns the cached reply instead of dialing
+///    again. Solve requests are idempotent, which is what makes the
+///    re-send safe in the first place; the dedupe makes it *counted* safe
+///    for callers tallying replies.
 class Client {
  public:
   /// Connect to the first reachable address of the list (throws
@@ -182,21 +197,43 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Send one request line (newline appended if missing). Fails over to
-  /// the next address when the send hits a reset/refused peer.
+  /// Send `{"op":"upgrade"}` and wait for the ack. True when the server
+  /// answered `"upgraded":true` and the connection is now frame-framed;
+  /// false when it declined (an old server — the line connection remains
+  /// usable). Either way every later connection of this client negotiates
+  /// too. A connection lost mid-negotiation fails over; throws when no
+  /// address is left.
+  bool upgrade();
+
+  /// True while the current connection speaks frames.
+  [[nodiscard]] bool binary() const noexcept { return binary_; }
+
+  /// Send one JSON request (newline appended if missing; a type-4 frame
+  /// once upgraded). Fails over to the next address when the send hits a
+  /// reset/refused peer.
   void send_line(const std::string& line);
 
-  /// Block for the next response line. Throws on server EOF.
+  /// Send one request in the connection's wire mode: a type-1 solve frame
+  /// for plain solves on an upgraded connection, JSON otherwise (masked
+  /// requests and admin verbs have no binary encoding). Fails over like
+  /// send_line.
+  void send_request(const io::WireRequest& wire);
+
+  /// Block for the next reply, normalized to a JSON line (see the class
+  /// comment). Throws std::runtime_error on EOF — a torn tail included —
+  /// or a malformed frame.
   std::string read_line();
 
-  /// send_line + read_line with failover, redirect chasing, and
-  /// request-id dedupe (see class comment).
+  /// send + read with failover, redirect chasing, and request-id dedupe
+  /// (see the class comment). The WireRequest form rides the connection's
+  /// wire mode like send_request.
   std::string round_trip(const std::string& line);
+  std::string round_trip(const io::WireRequest& wire);
 
   /// The address currently connected ("host:port") — who answered last.
   [[nodiscard]] const std::string& endpoint() const noexcept;
 
-  /// Half-close the sending side / tear down the connection.
+  /// Tear down the connection.
   void close();
 
  private:
@@ -205,8 +242,20 @@ class Client {
   /// False when every address refuses for `rounds` rotations.
   bool reconnect(std::size_t rounds = 3);
 
-  /// Dial one specific address (a redirect target). False on refusal.
+  /// Dial one specific address (a redirect target), negotiating the
+  /// upgrade when the client wants frames. False on refusal.
   bool connect_to(const std::string& endpoint);
+
+  /// Send the upgrade line and read the ack on the current connection.
+  /// False when the connection died mid-negotiation.
+  bool negotiate();
+
+  /// Send `json` (or, when given and the connection is upgraded, `wire`
+  /// as a binary solve frame), failing over once on a reset peer.
+  void transmit(const std::string* json, const io::WireRequest* wire);
+
+  /// The round trip behind both round_trip() forms.
+  std::string exchange(const std::string& line, const io::WireRequest* wire);
 
   /// One answered request: the id alone is not the cache key — a retry
   /// must carry the *same line* to be served from cache, so an id reused
@@ -217,19 +266,22 @@ class Client {
     std::string reply;
   };
 
-  /// Record an answered id (bounded) and say whether it was new.
-  bool record_answered(std::int64_t id, std::size_t line_hash,
-                       const std::string& reply);
-
   std::vector<std::string> endpoints_;
   std::size_t cursor_ = 0;     ///< Index of the connected address.
   std::string connected_;      ///< Text of the connected address.
   double backoff_ms_ = 50.0;   ///< Next inter-rotation pause.
   std::uint64_t jitter_state_; ///< Cheap xorshift state for jitter.
   int fd_ = -1;
-  std::string buffer_;
+  bool want_binary_ = false;   ///< upgrade() was called: renegotiate.
+  bool binary_ = false;        ///< The current connection speaks frames.
+  net::LineBuffer lines_;
+  ebmf::net::FrameBuffer frames_{kMaxReplyPayload};
   /// Answered-id cache (insertion-ordered, bounded).
   std::vector<Answered> answered_;
+
+  /// Replies are not budget-bound the way requests are; accept anything
+  /// up to the frame layer's practical ceiling.
+  static constexpr std::size_t kMaxReplyPayload = 64u << 20;
 };
 
 /// Run a server until SIGTERM/SIGINT, then drain and report on `log`.

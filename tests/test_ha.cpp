@@ -613,7 +613,13 @@ TEST(ClientHA, ConnectsPastDeadAddressesInTheList) {
   EXPECT_EQ(reply.find("\"error\""), std::string::npos) << reply;
 }
 
-TEST(ClientHA, FailsOverToTheNextAddressWhenThePeerDies) {
+/// The failover test runs in both wire modes: an upgraded client (what
+/// `ebmf client --binary` drives) fails over exactly like a line client
+/// and negotiates the upgrade again on the surviving address.
+class ClientHAFailover : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ClientHAFailover, FailsOverToTheNextAddressWhenThePeerDies) {
+  const bool upgraded = GetParam();
   auto first = std::make_unique<service::Server>(backend_options());
   service::Server second(backend_options());
   first->start();
@@ -625,15 +631,25 @@ TEST(ClientHA, FailsOverToTheNextAddressWhenThePeerDies) {
 
   service::Client client({first_address, second_address});
   ASSERT_EQ(client.endpoint(), first_address);
-  ASSERT_EQ(client.round_trip(R"({"pattern":"10;01"})").find("\"error\""),
-            std::string::npos);
+  if (upgraded) {
+    ASSERT_TRUE(client.upgrade());
+  }
+  const io::WireRequest request =
+      io::parse_wire_request(R"({"pattern":"10;01"})");
+  ASSERT_EQ(client.round_trip(request).find("\"error\""), std::string::npos);
 
   first->stop();
   first.reset();
-  const std::string reply = client.round_trip(R"({"pattern":"10;01"})");
+  const std::string reply = client.round_trip(request);
   EXPECT_EQ(reply.find("\"error\""), std::string::npos) << reply;
   EXPECT_EQ(client.endpoint(), second_address);
+  EXPECT_EQ(client.binary(), upgraded);
 }
+
+INSTANTIATE_TEST_SUITE_P(ClientHA, ClientHAFailover, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "upgraded" : "line";
+                         });
 
 TEST(ClientHA, RetriedRequestIdIsAnsweredExactlyOnce) {
   service::Server server(backend_options());

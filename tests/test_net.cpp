@@ -23,7 +23,6 @@
 #include "io/binary_io.h"
 #include "io/json.h"
 #include "io/request_io.h"
-#include "net/frame_client.h"
 #include "service/net.h"
 #include "service/service.h"
 #include "support/fault.h"
@@ -293,7 +292,7 @@ TEST(Wire, UpgradeNegotiatesAndBinaryRepliesMatchLineReplies) {
   service::Server server(test_options());
   server.start();
   service::Client line("127.0.0.1", server.port());
-  FrameClient frames("127.0.0.1", server.port());
+  service::Client frames("127.0.0.1", server.port());
   ASSERT_TRUE(frames.upgrade());
   EXPECT_TRUE(frames.binary());
 
@@ -306,7 +305,7 @@ TEST(Wire, UpgradeNegotiatesAndBinaryRepliesMatchLineReplies) {
                                        : "}");
       const std::string line_reply = line.round_trip(request);
       frames.send_request(io::parse_wire_request(request));
-      const std::string frame_reply = frames.read_reply();
+      const std::string frame_reply = frames.read_line();
       ASSERT_EQ(frame_reply.rfind("{\"id\":3,", 0), 0u) << frame_reply;
       expect_equivalent_replies(line_reply, frame_reply);
       if (with_partition)
@@ -317,14 +316,14 @@ TEST(Wire, UpgradeNegotiatesAndBinaryRepliesMatchLineReplies) {
 }
 
 TEST(Wire, DeclinedUpgradeKeepsTheLineProtocolUsable) {
-  // An un-upgraded FrameClient is just a line client; send_request falls
-  // back to JSON and read_reply pops lines.
+  // On a connection that never upgraded, send_request falls back to JSON
+  // and read_line pops lines.
   service::Server server(test_options());
   server.start();
-  FrameClient client("127.0.0.1", server.port());
+  service::Client client("127.0.0.1", server.port());
   EXPECT_FALSE(client.binary());
   client.send_request(io::parse_wire_request(R"({"pattern":"10;01"})"));
-  const io::json::Value reply = io::json::Value::parse(client.read_reply());
+  const io::json::Value reply = io::json::Value::parse(client.read_line());
   EXPECT_EQ(reply.find("depth")->as_number(), 2.0);
   server.stop();
 }
@@ -332,16 +331,16 @@ TEST(Wire, DeclinedUpgradeKeepsTheLineProtocolUsable) {
 TEST(Wire, AdminVerbsRideTheBinaryConnectionAsJsonFrames) {
   service::Server server(test_options());
   server.start();
-  FrameClient client("127.0.0.1", server.port());
+  service::Client client("127.0.0.1", server.port());
   ASSERT_TRUE(client.upgrade());
-  client.send_json(R"({"op":"stats","id":5})");
-  const io::json::Value stats = io::json::Value::parse(client.read_reply());
+  client.send_line(R"({"op":"stats","id":5})");
+  const io::json::Value stats = io::json::Value::parse(client.read_line());
   EXPECT_EQ(stats.find("id")->as_number(), 5.0);
   EXPECT_EQ(stats.find("role")->as_string(), "server");
   // A masked request has no binary encoding: send_request transparently
   // falls back to a type-4 JSON frame.
   client.send_request(io::parse_wire_request(R"({"pattern":"1*;01"})"));
-  const io::json::Value masked = io::json::Value::parse(client.read_reply());
+  const io::json::Value masked = io::json::Value::parse(client.read_line());
   EXPECT_EQ(masked.find("error"), nullptr);
   EXPECT_GE(masked.find("depth")->as_number(), 1.0);
   server.stop();
@@ -402,7 +401,7 @@ TEST(Wire, UpgradeMidPipelineAnswersEachRequestInItsOwnProtocol) {
 TEST(Wire, PipelinedBinaryRequestsAnswerInOrder) {
   service::Server server(test_options());
   server.start();
-  FrameClient client("127.0.0.1", server.port());
+  service::Client client("127.0.0.1", server.port());
   ASSERT_TRUE(client.upgrade());
   const int n = 24;
   for (int i = 0; i < n; ++i) {
@@ -414,7 +413,7 @@ TEST(Wire, PipelinedBinaryRequestsAnswerInOrder) {
         "\"}"));
   }
   for (int i = 0; i < n; ++i) {
-    const io::json::Value reply = io::json::Value::parse(client.read_reply());
+    const io::json::Value reply = io::json::Value::parse(client.read_line());
     ASSERT_EQ(reply.find("error"), nullptr) << i;
     EXPECT_EQ(reply.find("id")->as_number(), static_cast<double>(i));
     EXPECT_EQ(reply.find("depth")->as_number(), (i % 2 == 0) ? 3.0 : 2.0);
@@ -581,7 +580,7 @@ TEST(Wire, SlowReaderBackpressureDeliversEverythingEventually) {
   options.max_batch = 64;
   service::Server server(options);
   server.start();
-  FrameClient client("127.0.0.1", server.port());
+  service::Client client("127.0.0.1", server.port());
   ASSERT_TRUE(client.upgrade());
   const int n = 200;
   for (int i = 0; i < n; ++i)
@@ -589,7 +588,7 @@ TEST(Wire, SlowReaderBackpressureDeliversEverythingEventually) {
         "{\"id\":" + std::to_string(i) + ",\"pattern\":\"10;01\"}"));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   for (int i = 0; i < n; ++i) {
-    const io::json::Value reply = io::json::Value::parse(client.read_reply());
+    const io::json::Value reply = io::json::Value::parse(client.read_line());
     ASSERT_EQ(reply.find("error"), nullptr) << i;
     EXPECT_EQ(reply.find("id")->as_number(), static_cast<double>(i));
   }
@@ -606,13 +605,13 @@ TEST(Wire, DrainUnderMixedProtocolLoadLosesNothingAccepted) {
   for (int c = 0; c < 8; ++c) {
     clients.emplace_back([&, c]() {
       try {
-        FrameClient client("127.0.0.1", server.port());
+        service::Client client("127.0.0.1", server.port());
         if (c % 2 == 0) {
           if (!client.upgrade()) return;
         }
         client.send_request(io::parse_wire_request(
             R"({"pattern":"111000;000111;110011"})"));
-        (void)client.read_reply();
+        (void)client.read_line();
         finished.fetch_add(1);
       } catch (const std::exception&) {
         // Server closed first: acceptable during drain.

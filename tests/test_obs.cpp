@@ -500,10 +500,8 @@ TEST(Progress, PublishStampsSeqRetainsAndFansOut) {
   EXPECT_EQ(calls, 1);
 
   EXPECT_FALSE(sink.finished());
-  EXPECT_FALSE(sink.wait_finished(0.0));
   sink.finish();
   EXPECT_TRUE(sink.finished());
-  EXPECT_TRUE(sink.wait_finished(0.0));
 
   // The frame JSON carries every field the watch stream promises.
   ProgressFrame frame;
@@ -533,6 +531,57 @@ TEST(Progress, RetainsOnlyNewestFramesForLateSubscribers) {
   // Seq is stamped 0..total-1; the retained window is the newest kKeep.
   EXPECT_EQ(frames.front().seq, total - ProgressSink::kKeep);
   EXPECT_EQ(frames.back().seq, total - 1);
+}
+
+TEST(Progress, SubscriberRacingAPublisherSeesContiguousSeq) {
+  // One thread publishes while another subscribes mid-stream. The replay
+  // of retained frames and the registration happen under one hold of the
+  // sink lock, so the subscriber sees the history and then every later
+  // frame: no seq skipped, none repeated, then exactly one done call.
+  for (int round = 0; round < 20; ++round) {
+    ProgressSink sink;
+    const std::uint64_t total = ProgressSink::kKeep;  // nothing evicted
+    std::thread publisher([&sink, total]() {
+      for (std::uint64_t i = 0; i < total; ++i) {
+        sink.publish(ProgressFrame{});
+        std::this_thread::yield();
+      }
+      sink.finish();
+    });
+    while (sink.published() < total / 4) std::this_thread::yield();
+    std::vector<std::uint64_t> seen;
+    int done_calls = 0;
+    std::uint64_t done_published = 0;
+    sink.subscribe(
+        [&seen](const ProgressFrame& frame) {
+          seen.push_back(frame.seq);
+          return true;
+        },
+        [&](std::uint64_t published) {
+          ++done_calls;
+          done_published = published;
+        });
+    publisher.join();
+    ASSERT_EQ(done_calls, 1);
+    EXPECT_EQ(done_published, total);
+    ASSERT_EQ(seen.size(), total);
+    for (std::uint64_t i = 0; i < total; ++i)
+      ASSERT_EQ(seen[i], i) << "round " << round;
+  }
+
+  // A sink that already finished replays its history and reports done at
+  // once, registering nothing.
+  ProgressSink finished;
+  finished.publish(ProgressFrame{});
+  finished.finish();
+  int frames = 0;
+  int done_calls = 0;
+  EXPECT_EQ(finished.subscribe(
+                [&frames](const ProgressFrame&) { return ++frames > 0; },
+                [&done_calls](std::uint64_t) { ++done_calls; }),
+            0u);
+  EXPECT_EQ(frames, 1);
+  EXPECT_EQ(done_calls, 1);
 }
 
 // ---- histogram federation --------------------------------------------------

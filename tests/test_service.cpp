@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -305,6 +310,42 @@ TEST(Service, ClientReconnectsOnceAcrossAServerRestart) {
   second.stop();
 }
 
+TEST(Service, TornReplyIsALostConnectionNotAnAnswer) {
+  // A scripted peer: each accepted connection reads one request, answers
+  // with the next scripted bytes, and hangs up. A reply cut off before its
+  // newline must never come back as an answer (nor be cached by the id
+  // dedupe): the client treats it as a lost connection and retries once,
+  // and a second torn reply throws.
+  net::TcpListener listener;
+  listener.listen("127.0.0.1", 0);
+  const std::string torn = "{\"id\":1,\"depth\":";
+  const std::string whole = "{\"id\":1,\"depth\":2}";
+  const std::vector<std::string> script = {torn, whole + "\n", torn, torn};
+  std::thread peer([&listener, &script]() {
+    for (const std::string& bytes : script) {
+      int fd = -1;
+      for (int wait = 0; fd < 0 && wait < 50; ++wait)
+        fd = listener.accept_ready(100);
+      if (fd < 0) return;
+      net::LineBuffer buffer;
+      std::string request;
+      if (net::read_line(fd, buffer, request, 5.0) == net::Read::Ok)
+        ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      ::close(fd);
+    }
+  });
+  const std::string line = R"({"id":1,"pattern":"10;01"})";
+  {
+    Client client("127.0.0.1", listener.port());
+    EXPECT_EQ(client.round_trip(line), whole);
+    // The dedupe cache kept the whole reply, not the fragment.
+    EXPECT_EQ(client.round_trip(line), whole);
+  }
+  Client client("127.0.0.1", listener.port());
+  EXPECT_THROW(client.round_trip(line), std::runtime_error);
+  peer.join();
+}
+
 TEST(Service, EphemeralPortIsReportedAndReusable) {
   Server first(test_options());
   first.start();
@@ -440,6 +481,56 @@ TEST(Watch, SubscriberDisconnectMidSolveDoesNotStallTheSolver) {
   const Reply reply(solver.read_line());
   ASSERT_FALSE(reply.is_error());
   EXPECT_GE(reply.document.find("depth")->as_number(), 1.0);
+  server.stop();
+}
+
+/// Threads of this process, from /proc/self/status (-1 when unreadable).
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
+}
+
+TEST(Watch, ThirtyTwoWatchersOnOneSolveStartNoThreads) {
+  Server server(test_options());
+  server.start();
+  Client solver("127.0.0.1", server.port());
+  solver.send_line("{\"id\":0,\"pattern\":\"" + hard_pattern() +
+                   "\",\"strategy\":\"local\",\"budget\":2.0}");
+  // Wait until the solve is in flight (the stats panel lists it), then
+  // take the baseline.
+  Client probe("127.0.0.1", server.port());
+  bool in_flight = false;
+  for (int attempt = 0; attempt < 200 && !in_flight; ++attempt) {
+    in_flight = probe.round_trip(R"({"op":"stats"})")
+                    .find("\"inflight_requests\":[{") != std::string::npos;
+    if (!in_flight) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(in_flight);
+  const int before = process_threads();
+  ASSERT_GT(before, 0);
+
+  std::vector<std::unique_ptr<Client>> watchers;
+  for (int i = 0; i < 32; ++i) {
+    watchers.push_back(std::make_unique<Client>("127.0.0.1", server.port()));
+    const std::string first = subscribe_watch(*watchers.back());
+    ASSERT_FALSE(first.empty()) << "watch " << i << " never attached";
+    ASSERT_EQ(first.find("\"error\""), std::string::npos) << first;
+  }
+  EXPECT_LE(process_threads(), before)
+      << "watch subscribers must not start threads";
+
+  // Every subscriber still streams through to its done line.
+  for (const auto& watcher : watchers) {
+    std::string line;
+    do {
+      line = watcher->read_line();
+    } while (line.find("\"done\":true") == std::string::npos);
+  }
+  const Reply reply(solver.read_line());
+  EXPECT_FALSE(reply.is_error());
   server.stop();
 }
 
