@@ -106,83 +106,8 @@ SolveReport Engine::run_checked(const SolveRequest& request) const {
   return report;
 }
 
-SolveReport Engine::run_precanonical(const SolverRegistry::Entry& entry,
-                                     const SolveRequest& request) const {
-  Stopwatch total;
-  const obs::TracePtr& trace = request.trace;
-  const std::uint64_t span_parent = trace ? trace->context().parent_span : 0;
-  // The caller (the router's binary fast path) already canonicalized: the
-  // pattern arrives in canonical form with its 128-bit key, so there is no
-  // canon pass here and the lift is the identity. Lookup still compares the
-  // full stored pattern and every partition is validated below.
-  const canon::CacheKey key =
-      canon::CacheKey{request.canon_hi, request.canon_lo}.mixed_with(
-          request.strategy);
-
-  SolveReport report;
-  std::uint64_t span_start = trace ? obs::steady_micros() : 0;
-  std::optional<cache::CachedResult> cached =
-      cache_->lookup(key, request.strategy, request.matrix);
-  if (trace) {
-    trace->record("engine.cache_lookup", obs::new_span_id(), span_parent,
-                  span_start, obs::steady_micros());
-  }
-  const bool retry_for_upgrade =
-      cached && cached->report.status == Status::Bounded &&
-      !request.budget.exhausted() &&
-      request.budget.deadline.remaining_seconds() >
-          2.0 * cached->report.total_seconds + 0.01;
-  bool served_from_cache = cached.has_value() && !retry_for_upgrade;
-  const char* upgrade = nullptr;
-  if (!served_from_cache) {
-    SolveRequest sub = request;
-    sub.masked.reset();
-    sub.label.clear();
-    span_start = trace ? obs::steady_micros() : 0;
-    report = entry.solve(sub);
-    if (trace) {
-      trace->record("engine.solve", obs::new_span_id(), span_parent,
-                    span_start, obs::steady_micros());
-    }
-    if (report.strategy.empty()) report.strategy = request.strategy;
-    report.upper_bound = report.depth();
-    report.total_seconds = total.seconds();
-    cache_->insert(key, request.strategy, request.matrix, report);
-    if (retry_for_upgrade) {
-      if (strictly_better(cached->report, report)) {
-        served_from_cache = true;
-        upgrade = "retry-kept-stored";
-      } else {
-        upgrade = "retry";
-      }
-    }
-  }
-  if (served_from_cache) report = std::move(cached->report);
-  report.add_telemetry("cache_hit", served_from_cache ? "true" : "false");
-  if (upgrade != nullptr) report.add_telemetry("cache.upgrade", upgrade);
-
-  report.label = request.label;
-  if (report.strategy.empty()) report.strategy = request.strategy;
-  report.upper_bound = report.depth();
-  report.add_telemetry("canon.key", key.hex());
-  report.add_telemetry("canon.precanonical", "true");
-  const cache::CacheStats stats = cache_->counters();
-  report.add_telemetry("cache.hits", stats.hits);
-  report.add_telemetry("cache.misses", stats.misses);
-  report.add_telemetry("cache.evictions", stats.evictions);
-  report.total_seconds = total.seconds();
-  finalize_anytime(report);
-
-  EBMF_ENSURES(static_cast<bool>(
-      validate_partition(request.matrix, report.partition)));
-  EBMF_ENSURES(report.partition.empty() ||
-               report.depth() >= report.lower_bound);
-  return report;
-}
-
 SolveReport Engine::run_cached(const SolverRegistry::Entry& entry,
                                const SolveRequest& request) const {
-  if (request.pre_canonical) return run_precanonical(entry, request);
   Stopwatch total;
   Stopwatch phase;
   // Traced requests get a span per stage; `span_parent` is the caller's
@@ -192,23 +117,36 @@ SolveReport Engine::run_cached(const SolverRegistry::Entry& entry,
   const std::uint64_t span_parent =
       trace ? trace->context().parent_span : 0;
   std::uint64_t span_start = trace ? obs::steady_micros() : 0;
-  const canon::Canonical canonical = canon::canonicalize(request.matrix);
-  const double canon_seconds = phase.seconds();
-  if (trace) {
-    trace->record("engine.canon", obs::new_span_id(), span_parent,
-                  span_start, obs::steady_micros());
+  // A pre-canonical request (the router's binary fast path) arrives in
+  // canonical form with its 128-bit key, so there is no canon pass and the
+  // lift is the identity. Lookup still compares the full stored pattern
+  // and every partition is validated below.
+  std::optional<canon::Canonical> canonical;
+  double canon_seconds = 0.0;
+  if (!request.pre_canonical) {
+    canonical = canon::canonicalize(request.matrix);
+    canon_seconds = phase.seconds();
+    if (trace) {
+      trace->record("engine.canon", obs::new_span_id(), span_parent,
+                    span_start, obs::steady_micros());
+    }
   }
+  const BinaryMatrix& pattern =
+      canonical ? canonical->pattern : request.matrix;
   // The key distinguishes strategies: a heuristic answer must not shadow a
   // pending "sap" certificate and vice versa. Tuning knobs (trials, seed,
   // encoding) are deliberately not part of the key — every stored partition
   // is a valid answer for the pattern, and the upgrade-only insert policy
   // keeps the strongest one seen.
-  const canon::CacheKey key = canonical.key.mixed_with(request.strategy);
+  const canon::CacheKey key =
+      (canonical ? canonical->key
+                 : canon::CacheKey{request.canon_hi, request.canon_lo})
+          .mixed_with(request.strategy);
 
   SolveReport report;
   span_start = trace ? obs::steady_micros() : 0;
   std::optional<cache::CachedResult> cached =
-      cache_->lookup(key, request.strategy, canonical.pattern);
+      cache_->lookup(key, request.strategy, pattern);
   if (trace) {
     trace->record("engine.cache_lookup", obs::new_span_id(), span_parent,
                   span_start, obs::steady_micros());
@@ -229,7 +167,7 @@ SolveReport Engine::run_cached(const SolverRegistry::Entry& entry,
     // Solve the canonical pattern itself: the cache stays in canonical
     // space, and the strategy benefits from the deduplicated instance.
     SolveRequest sub = request;
-    sub.matrix = canonical.pattern;
+    if (canonical) sub.matrix = canonical->pattern;
     sub.masked.reset();
     sub.label.clear();
     span_start = trace ? obs::steady_micros() : 0;
@@ -241,7 +179,7 @@ SolveReport Engine::run_cached(const SolverRegistry::Entry& entry,
     if (report.strategy.empty()) report.strategy = request.strategy;
     report.upper_bound = report.depth();
     report.total_seconds = total.seconds();  // what this attempt cost
-    cache_->insert(key, request.strategy, canonical.pattern, report);
+    cache_->insert(key, request.strategy, pattern, report);
     if (retry_for_upgrade) {
       // A retry cut short (cancellation, contention) can come back weaker
       // than the certificate it tried to beat — never serve that.
@@ -254,27 +192,34 @@ SolveReport Engine::run_cached(const SolverRegistry::Entry& entry,
     }
   }
   if (served_from_cache) report = std::move(cached->report);
-  phase.restart();
-  span_start = trace ? obs::steady_micros() : 0;
-  report.partition = canon::lift(report.partition, canonical);
-  if (trace) {
-    trace->record("engine.lift", obs::new_span_id(), span_parent,
-                  span_start, obs::steady_micros());
+  if (canonical) {
+    phase.restart();
+    span_start = trace ? obs::steady_micros() : 0;
+    report.partition = canon::lift(report.partition, *canonical);
+    if (trace) {
+      trace->record("engine.lift", obs::new_span_id(), span_parent,
+                    span_start, obs::steady_micros());
+    }
+    report.add_timing("cache.lift", phase.seconds());
   }
-  report.add_timing("cache.lift", phase.seconds());
   report.add_telemetry("cache_hit", served_from_cache ? "true" : "false");
   if (upgrade != nullptr) report.add_telemetry("cache.upgrade", upgrade);
 
   report.label = request.label;
   if (report.strategy.empty()) report.strategy = request.strategy;
   report.upper_bound = report.depth();
-  report.add_timing("canon", canon_seconds);
   report.add_telemetry("canon.key", key.hex());
-  report.add_telemetry(
-      "canon.shape", std::to_string(canonical.pattern.rows()) + "x" +
-                         std::to_string(canonical.pattern.cols()));
-  report.add_telemetry("canon.components",
-                       static_cast<std::uint64_t>(canonical.components.size()));
+  if (canonical) {
+    report.add_timing("canon", canon_seconds);
+    report.add_telemetry(
+        "canon.shape", std::to_string(canonical->pattern.rows()) + "x" +
+                           std::to_string(canonical->pattern.cols()));
+    report.add_telemetry(
+        "canon.components",
+        static_cast<std::uint64_t>(canonical->components.size()));
+  } else {
+    report.add_telemetry("canon.precanonical", "true");
+  }
   const cache::CacheStats stats = cache_->counters();
   report.add_telemetry("cache.hits", stats.hits);
   report.add_telemetry("cache.misses", stats.misses);

@@ -346,8 +346,6 @@ class Engine {
   SolveReport run_checked(const SolveRequest& request) const;
   SolveReport run_cached(const SolverRegistry::Entry& entry,
                          const SolveRequest& request) const;
-  SolveReport run_precanonical(const SolverRegistry::Entry& entry,
-                               const SolveRequest& request) const;
 
   SolverRegistry registry_;
   std::shared_ptr<cache::ResultCache> cache_;

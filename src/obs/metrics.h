@@ -1,6 +1,6 @@
 #pragma once
 /// \file metrics.h
-/// \brief Process-wide metrics core (`ebmf::obs`): counters, gauges, and
+/// \brief Metrics core (`ebmf::obs`): counters, gauges, and
 /// log-linear-bucket latency histograms behind a lock-striped registry.
 ///
 /// Design goals, in order:
@@ -172,8 +172,10 @@ class Registry {
   Impl* impl_;
 };
 
-/// The process-wide registry every built-in instrumentation site records
-/// into. Tests construct private `Registry` instances instead.
+/// The process-wide registry. It holds only the solver-internal series
+/// (`sat.solver.*`), which no server or router owns; every `Server` and
+/// `Router` records into a `Registry` of its own and appends this one to
+/// its scrape.
 Registry& default_registry();
 
 /// JSON object (no surrounding braces are omitted — the full `{...}`) that

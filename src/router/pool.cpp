@@ -133,17 +133,22 @@ struct BackendPool::Impl {
   /// and the stampede repeats at each doubling. Seeded per-instance.
   Rng jitter;
 
-  std::atomic<std::uint64_t> stat_requests{0};
-  std::atomic<std::uint64_t> stat_failures{0};
+  obs::Counter* dispatches;  ///< Lines submitted.
+  obs::Counter* failures;    ///< Connection-level breaks observed.
 
-  explicit Impl(std::string h, std::uint16_t p, PoolOptions opt)
+  Impl(std::string h, std::uint16_t p, PoolOptions opt,
+       obs::Registry& registry)
       : host(std::move(h)),
         port(p),
         endpoint_text(host + ":" + std::to_string(port)),
         options(opt),
         backoff_ms(opt.backoff_base_ms),
         jitter(std::hash<std::string>{}(endpoint_text) ^
-               reinterpret_cast<std::uintptr_t>(this)) {
+               reinterpret_cast<std::uintptr_t>(this)),
+        dispatches(registry.counter("router.pool." + endpoint_text +
+                                    ".dispatches")),
+        failures(registry.counter("router.pool." + endpoint_text +
+                                  ".failures")) {
     if (options.connections == 0) options.connections = 1;
     if (!options.negotiate_binary) binary_mode.store(0);
     for (std::size_t i = 0; i < options.connections; ++i)
@@ -242,9 +247,6 @@ struct BackendPool::Impl {
     conn.open.store(false, std::memory_order_relaxed);
     break_pending(conn);
     if (!shutting_down.load(std::memory_order_relaxed)) {
-      stat_failures.fetch_add(1, std::memory_order_relaxed);
-      static obs::Counter* const failures =
-          obs::default_registry().counter("router.pool.failures");
       failures->add(1);
       std::lock_guard<std::mutex> lock(mutex);
       next_attempt = Clock::now() + backoff_step();
@@ -326,7 +328,7 @@ struct BackendPool::Impl {
       }
       obs::emit_event(obs::EventCode::PoolReconnect,
                       std::hash<std::string>{}(endpoint_text),
-                      stat_failures.load(std::memory_order_relaxed));
+                      failures->value());
       conn.reader = std::thread([this, &conn]() { reader_loop(conn); });
     }
   }
@@ -350,8 +352,9 @@ struct BackendPool::Impl {
 };
 
 BackendPool::BackendPool(std::string host, std::uint16_t port,
-                         PoolOptions options)
-    : impl_(std::make_unique<Impl>(std::move(host), port, options)) {}
+                         PoolOptions options, obs::Registry& registry)
+    : impl_(std::make_unique<Impl>(std::move(host), port, options,
+                                   registry)) {}
 
 BackendPool::~BackendPool() { shutdown(); }
 
@@ -414,12 +417,7 @@ bool BackendPool::submit(std::uint64_t id, const std::string& payload,
     conn->pending.erase(id);
     return false;
   }
-  impl_->stat_requests.fetch_add(1, std::memory_order_relaxed);
-  // Fleet-wide dispatch volume, aggregated across every pool instance
-  // (per-backend breakdowns live in the stats verb's pool counters).
-  static obs::Counter* const dispatches =
-      obs::default_registry().counter("router.pool.dispatches");
-  dispatches->add(1);
+  impl_->dispatches->add(1);
   return true;
 }
 
@@ -438,8 +436,8 @@ PoolStats BackendPool::stats() const {
   PoolStats out;
   out.alive = alive();
   out.binary = binary();
-  out.requests = impl_->stat_requests.load(std::memory_order_relaxed);
-  out.failures = impl_->stat_failures.load(std::memory_order_relaxed);
+  out.requests = impl_->dispatches->value();
+  out.failures = impl_->failures->value();
   for (const auto& conn : impl_->conns) {
     std::lock_guard<std::mutex> lock(conn->pending_mutex);
     out.inflight += conn->pending.size();

@@ -40,6 +40,10 @@
 #include <mutex>
 #include <string>
 
+namespace ebmf::obs {
+class Registry;
+}  // namespace ebmf::obs
+
 namespace ebmf::router {
 
 /// One awaited backend response. wait() blocks until the reply arrives,
@@ -86,7 +90,7 @@ struct PoolOptions {
   bool negotiate_binary = true;
 };
 
-/// Point-in-time pool counters.
+/// Point-in-time pool counters, read from the pool's registry series.
 struct PoolStats {
   bool alive = false;            ///< At least one live connection.
   bool binary = false;           ///< Connections speak the frame protocol.
@@ -99,7 +103,10 @@ struct PoolStats {
 /// every router connection thread concurrently.
 class BackendPool {
  public:
-  BackendPool(std::string host, std::uint16_t port, PoolOptions options);
+  /// The pool counts into `registry` (which must outlive it) as
+  /// `router.pool.<host:port>.dispatches` and `...failures`.
+  BackendPool(std::string host, std::uint16_t port, PoolOptions options,
+              obs::Registry& registry);
   ~BackendPool();
 
   BackendPool(const BackendPool&) = delete;

@@ -185,7 +185,8 @@ struct Router::Impl {
     if (options.max_batch == 0) options.max_batch = 1;
     if (options.replicas == 0) options.replicas = 1;
     if (options.l1_mb > 0)
-      l1 = cache::ResultCache::with_capacity_mb(options.l1_mb);
+      l1 = cache::ResultCache::with_capacity_mb(options.l1_mb, &registry,
+                                                "router.l1");
     if (!options.trace_file.empty()) {
       std::string error;
       if (!traces.set_file(options.trace_file, &error))
@@ -200,6 +201,10 @@ struct Router::Impl {
   }
 
   RouterOptions options;
+  /// Every series this router records, its L1's (`router.l1.*`) and its
+  /// backend pools' (`router.pool.*`) included. Declared before the L1 and
+  /// the pools that count into it.
+  obs::Registry registry;
   std::shared_ptr<cache::ResultCache> l1;
 
   /// Completed traces this router assembled (op:trace/op:traces): its own
@@ -221,19 +226,28 @@ struct Router::Impl {
   mutable std::mutex watch_mutex;
   std::map<std::int64_t, WatchRoute> watch_routes;
 
-  // Registry series, resolved once (obs/metrics.h).
-  obs::Histogram* obs_request =
-      obs::default_registry().histogram("router.request.micros");
-  obs::Counter* obs_requests =
-      obs::default_registry().counter("router.requests");
-  obs::Counter* obs_errors = obs::default_registry().counter("router.errors");
-  obs::Counter* obs_rejected =
-      obs::default_registry().counter("router.rejected");
-  obs::Counter* obs_l1_hits =
-      obs::default_registry().counter("router.l1_hits");
-  obs::Counter* obs_failovers =
-      obs::default_registry().counter("router.failovers");
-  obs::Gauge* obs_inflight = obs::default_registry().gauge("router.inflight");
+  // The RouterStats counters and the latency series, resolved once.
+  obs::Counter* connections = registry.counter("router.connections");
+  obs::Counter* requests = registry.counter("router.requests");
+  obs::Counter* errors = registry.counter("router.errors");
+  obs::Counter* rejected = registry.counter("router.rejected");
+  obs::Counter* failovers = registry.counter("router.failovers");
+  obs::Counter* joins = registry.counter("router.cluster.joins");
+  obs::Counter* leaves = registry.counter("router.cluster.leaves");
+  obs::Counter* evictions = registry.counter("router.cluster.evictions");
+  obs::Counter* promotions = registry.counter("router.cluster.promotions");
+  obs::Counter* replica_hits = registry.counter("router.cluster.replica_hits");
+  obs::Counter* replica_puts = registry.counter("router.cluster.replica_puts");
+  obs::Counter* lease_acquired = registry.counter("router.lease.acquired");
+  obs::Counter* lease_renewed = registry.counter("router.lease.renewed");
+  obs::Counter* lease_lost = registry.counter("router.lease.lost");
+  obs::Counter* redirects = registry.counter("router.redirects");
+  obs::Counter* forwards = registry.counter("router.forwards");
+  obs::Counter* syncs_sent = registry.counter("router.peer.syncs");
+  obs::Counter* syncs_applied = registry.counter("router.peer.syncs_applied");
+  obs::Gauge* inflight_gauge = registry.gauge("router.inflight");
+  obs::Histogram* request_micros =
+      registry.histogram("router.request.micros");
 
   // -- cluster state -----------------------------------------------------
   // `cluster_mutex` serializes membership mutation + view publication (so
@@ -276,38 +290,8 @@ struct Router::Impl {
   std::vector<WatchThread> watch_threads;
 
   std::atomic<std::uint64_t> next_id{1};
+  /// The admission gate (try_admit reads the old value it adds to).
   std::atomic<std::size_t> inflight{0};
-  std::atomic<std::uint64_t> stat_connections{0};
-  std::atomic<std::uint64_t> stat_requests{0};
-  std::atomic<std::uint64_t> stat_errors{0};
-  std::atomic<std::uint64_t> stat_rejected{0};
-  std::atomic<std::uint64_t> stat_l1_hits{0};
-  std::atomic<std::uint64_t> stat_failovers{0};
-  std::atomic<std::uint64_t> stat_joins{0};
-  std::atomic<std::uint64_t> stat_leaves{0};
-  std::atomic<std::uint64_t> stat_evictions{0};
-  std::atomic<std::uint64_t> stat_promotions{0};
-  std::atomic<std::uint64_t> stat_replica_hits{0};
-  std::atomic<std::uint64_t> stat_replica_puts{0};
-  std::atomic<std::uint64_t> stat_lease_acquires{0};
-  std::atomic<std::uint64_t> stat_lease_renewals{0};
-  std::atomic<std::uint64_t> stat_redirects{0};
-  std::atomic<std::uint64_t> stat_forwards{0};
-  std::atomic<std::uint64_t> stat_syncs_sent{0};
-  std::atomic<std::uint64_t> stat_syncs_applied{0};
-
-  obs::Counter* obs_lease_acquired =
-      obs::default_registry().counter("router.lease.acquired");
-  obs::Counter* obs_lease_renewed =
-      obs::default_registry().counter("router.lease.renewed");
-  obs::Counter* obs_lease_lost =
-      obs::default_registry().counter("router.lease.lost");
-  obs::Counter* obs_redirects =
-      obs::default_registry().counter("router.redirects");
-  obs::Counter* obs_forwards =
-      obs::default_registry().counter("router.forwards");
-  obs::Counter* obs_syncs =
-      obs::default_registry().counter("router.peer.syncs");
 
   bool try_admit() {
     const std::size_t limit = options.max_inflight;
@@ -317,14 +301,14 @@ struct Router::Impl {
       inflight.fetch_sub(1, std::memory_order_relaxed);
       return false;
     }
-    obs_inflight->add(1);
+    inflight_gauge->add(1);
     return true;
   }
 
   void release_admitted(std::size_t count) {
     if (count > 0) {
       inflight.fetch_sub(count, std::memory_order_relaxed);
-      obs_inflight->add(-static_cast<std::int64_t>(count));
+      inflight_gauge->add(-static_cast<std::int64_t>(count));
     }
   }
 
@@ -347,6 +331,7 @@ struct Router::Impl {
   std::string build_sync_line() const;
   void observe_peer_reply(const std::string& line);
   void sync_loop();
+  RouterStats counts() const;
   std::string stats_json(std::int64_t id) const;
   std::string fleet_metrics_json(std::int64_t id);
   void log_slow(const RouteTask& task, double elapsed_ms,
@@ -398,7 +383,8 @@ std::shared_ptr<BackendPool> Router::Impl::ensure_pool(
   pool_options.connections = options.pool_connections;
   pool_options.backoff_base_ms = options.backoff_base_ms;
   pool_options.backoff_max_ms = options.backoff_max_ms;
-  auto pool = std::make_shared<BackendPool>(host, port, pool_options);
+  auto pool =
+      std::make_shared<BackendPool>(host, port, pool_options, registry);
   std::lock_guard<std::mutex> lock(pools_mutex);
   // Lost a creation race: keep the incumbent (ours is dropped unopened).
   auto it = pools.find(endpoint);
@@ -504,7 +490,7 @@ std::string Router::Impl::handle_membership(const io::WireRequest& wire) {
       ensure_pool(endpoint);
       if (update.changed) publish_view();
     }
-    if (update.changed) stat_joins.fetch_add(1, std::memory_order_relaxed);
+    if (update.changed) joins->add(1);
     // Opportunistic connect outside the cluster lock — the first requests
     // for this shard should not eat a health-cadence delay.
     if (const auto pool = pool_for(endpoint)) pool->maintain();
@@ -533,7 +519,7 @@ std::string Router::Impl::handle_membership(const io::WireRequest& wire) {
       detached = detach_pool(endpoint);
     }
   }
-  if (update.changed) stat_leaves.fetch_add(1, std::memory_order_relaxed);
+  if (update.changed) leaves->add(1);
   if (detached) detached->shutdown();
   out << "\"left\":" << (update.changed ? "true" : "false")
       << ",\"epoch\":" << update.epoch << "}";
@@ -552,13 +538,11 @@ std::string Router::Impl::forward_or_redirect(const io::WireRequest& wire) {
     if (std::optional<std::string> reply =
             net::call(status.holder, io::wire_request_json(forward),
                       kPeerCallSeconds, &stopping)) {
-      stat_forwards.fetch_add(1, std::memory_order_relaxed);
-      obs_forwards->add(1);
+      forwards->add(1);
       return net::with_id_prefix(*reply, wire.id);
     }
   }
-  stat_redirects.fetch_add(1, std::memory_order_relaxed);
-  obs_redirects->add(1);
+  redirects->add(1);
   std::ostringstream out;
   out << "{";
   if (wire.id >= 0) out << "\"id\":" << wire.id << ",";
@@ -604,7 +588,7 @@ std::string Router::Impl::handle_peer(const io::WireRequest& wire) {
     const cluster::LeaderLease::Grant grant =
         lease->observe_claim(wire.endpoint, wire.term);
     if (was_held && grant.granted && !grant.status.held)
-      obs_lease_lost->add(1);  // deposed by a fresher claim
+      lease_lost->add(1);  // deposed by a fresher claim
     out << "\"ok\":true,\"granted\":" << (grant.granted ? "true" : "false")
         << ",\"term\":" << grant.status.term << ",\"holder\":\""
         << io::json::escape(grant.status.holder) << "\"}";
@@ -657,7 +641,7 @@ std::string Router::Impl::handle_peer(const io::WireRequest& wire) {
     // bump). Adoption seeds counts at the threshold, so a takeover serves
     // these keys warm without a re-promotion burst.
     hot_keys.adopt_promoted(wire.promoted_keys);
-    stat_syncs_applied.fetch_add(1, std::memory_order_relaxed);
+    syncs_applied->add(1);
   }
   out << "\"ok\":true,\"applied\":" << (applied ? "true" : "false")
       << ",\"term\":" << grant.status.term << ",\"holder\":\""
@@ -742,13 +726,12 @@ void Router::Impl::sync_loop() {
 
     const cluster::LeaseStatus status = lease->try_acquire();
     if (!status.held) {
-      if (was_held) obs_lease_lost->add(1);
+      if (was_held) lease_lost->add(1);
       was_held = false;
       continue;  // follower: state arrives passively via peer.sync
     }
     if (!was_held) {
-      stat_lease_acquires.fetch_add(1, std::memory_order_relaxed);
-      obs_lease_acquired->add(1);
+      lease_acquired->add(1);
       // A takeover is the failover event the HA drill measures: record it
       // as a single-span trace so `{"op":"traces"}` shows when it happened
       // and which term it won.
@@ -759,8 +742,7 @@ void Router::Impl::sync_loop() {
                       obs::steady_micros());
       traces.add(ctx.hi, ctx.lo, recorder.spans());
     } else {
-      stat_lease_renewals.fetch_add(1, std::memory_order_relaxed);
-      obs_lease_renewed->add(1);
+      lease_renewed->add(1);
     }
     was_held = true;
 
@@ -782,40 +764,69 @@ void Router::Impl::sync_loop() {
       if (const auto reply =
               net::call(peer, sync_line, kPeerCallSeconds, &stopping)) {
         observe_peer_reply(*reply);
-        stat_syncs_sent.fetch_add(1, std::memory_order_relaxed);
-        obs_syncs->add(1);
+        syncs_sent->add(1);
       }
     }
   }
 }
 
+RouterStats Router::Impl::counts() const {
+  RouterStats out;
+  out.connections = connections->value();
+  out.requests = requests->value();
+  out.errors = errors->value();
+  out.rejected = rejected->value();
+  out.l1_hits = l1 ? l1->counters().hits : 0;
+  out.failovers = failovers->value();
+  out.epoch = membership.epoch();
+  out.members = membership.size();
+  out.joins = joins->value();
+  out.leaves = leaves->value();
+  out.evictions = evictions->value();
+  out.promotions = promotions->value();
+  out.replica_hits = replica_hits->value();
+  out.replica_puts = replica_puts->value();
+  out.promoted = hot_keys.promoted_count();
+  if (lease) {
+    const cluster::LeaseStatus status = lease->status();
+    out.lease_holder = status.holder;
+    out.term = status.term;
+    out.leaseholder = status.held;
+  } else {
+    out.lease_holder = self_endpoint;
+    out.leaseholder = true;  // standalone: the implicit lease is ours
+  }
+  out.lease_acquires = lease_acquired->value();
+  out.lease_renewals = lease_renewed->value();
+  out.redirects = redirects->value();
+  out.forwards = forwards->value();
+  out.syncs_sent = syncs_sent->value();
+  out.syncs_applied = syncs_applied->value();
+  return out;
+}
+
 std::string Router::Impl::stats_json(std::int64_t id) const {
+  const RouterStats stats = counts();
   std::ostringstream out;
   out << "{";
   if (id >= 0) out << "\"id\":" << id << ",";
   out << "\"stats\":true,\"role\":\"router\",\"router\":{"
-      << "\"connections\":" << stat_connections.load(std::memory_order_relaxed)
-      << ",\"requests\":" << stat_requests.load(std::memory_order_relaxed)
-      << ",\"errors\":" << stat_errors.load(std::memory_order_relaxed)
-      << ",\"rejected\":" << stat_rejected.load(std::memory_order_relaxed)
-      << ",\"l1_hits\":" << stat_l1_hits.load(std::memory_order_relaxed)
-      << ",\"failovers\":" << stat_failovers.load(std::memory_order_relaxed)
+      << "\"connections\":" << stats.connections
+      << ",\"requests\":" << stats.requests << ",\"errors\":" << stats.errors
+      << ",\"rejected\":" << stats.rejected << ",\"l1_hits\":" << stats.l1_hits
+      << ",\"failovers\":" << stats.failovers
       << ",\"inflight\":" << inflight.load(std::memory_order_relaxed)
       << ",\"max_inflight\":" << options.max_inflight << "}";
   out << ",\"cluster\":{\"dynamic\":" << (options.dynamic ? "true" : "false")
-      << ",\"epoch\":" << membership.epoch()
-      << ",\"members\":" << membership.size()
-      << ",\"joins\":" << stat_joins.load(std::memory_order_relaxed)
-      << ",\"leaves\":" << stat_leaves.load(std::memory_order_relaxed)
-      << ",\"evictions\":" << stat_evictions.load(std::memory_order_relaxed)
+      << ",\"epoch\":" << stats.epoch << ",\"members\":" << stats.members
+      << ",\"joins\":" << stats.joins << ",\"leaves\":" << stats.leaves
+      << ",\"evictions\":" << stats.evictions
       << ",\"replicas\":" << options.replicas
       << ",\"promote_after\":" << options.promote_after
-      << ",\"promoted\":" << hot_keys.promoted_count()
-      << ",\"promotions\":" << stat_promotions.load(std::memory_order_relaxed)
-      << ",\"replica_hits\":"
-      << stat_replica_hits.load(std::memory_order_relaxed)
-      << ",\"replica_puts\":"
-      << stat_replica_puts.load(std::memory_order_relaxed) << "}";
+      << ",\"promoted\":" << stats.promoted
+      << ",\"promotions\":" << stats.promotions
+      << ",\"replica_hits\":" << stats.replica_hits
+      << ",\"replica_puts\":" << stats.replica_puts << "}";
   if (lease) {
     const cluster::LeaseStatus status = lease->status();
     out << ",\"lease\":{\"self\":\"" << io::json::escape(self_endpoint)
@@ -824,27 +835,16 @@ std::string Router::Impl::stats_json(std::int64_t id) const {
         << ",\"held\":" << (status.held ? "true" : "false")
         << ",\"valid\":" << (status.valid ? "true" : "false")
         << ",\"peers\":" << options.peers.size()
-        << ",\"acquires\":" << stat_lease_acquires.load(std::memory_order_relaxed)
-        << ",\"renewals\":" << stat_lease_renewals.load(std::memory_order_relaxed)
-        << ",\"redirects\":" << stat_redirects.load(std::memory_order_relaxed)
-        << ",\"forwards\":" << stat_forwards.load(std::memory_order_relaxed)
-        << ",\"syncs_sent\":" << stat_syncs_sent.load(std::memory_order_relaxed)
-        << ",\"syncs_applied\":"
-        << stat_syncs_applied.load(std::memory_order_relaxed) << "}";
+        << ",\"acquires\":" << stats.lease_acquires
+        << ",\"renewals\":" << stats.lease_renewals
+        << ",\"redirects\":" << stats.redirects
+        << ",\"forwards\":" << stats.forwards
+        << ",\"syncs_sent\":" << stats.syncs_sent
+        << ",\"syncs_applied\":" << stats.syncs_applied << "}";
   } else {
     out << ",\"lease\":null";
   }
-  if (l1) {
-    const cache::CacheStats stats = l1->stats();
-    out << ",\"l1\":{\"hits\":" << stats.hits
-        << ",\"misses\":" << stats.misses
-        << ",\"evictions\":" << stats.evictions
-        << ",\"insertions\":" << stats.insertions
-        << ",\"entries\":" << stats.entries << ",\"bytes\":" << stats.bytes
-        << ",\"capacity_bytes\":" << l1->capacity_bytes() << "}";
-  } else {
-    out << ",\"l1\":null";
-  }
+  out << ",\"l1\":" << cache::stats_json(l1.get());
   const std::vector<BackendSnapshot> snapshot = backend_snapshot();
   out << ",\"backends\":[";
   for (std::size_t i = 0; i < snapshot.size(); ++i) {
@@ -858,7 +858,7 @@ std::string Router::Impl::stats_json(std::int64_t id) const {
         << ",\"failures\":" << pool.failures
         << ",\"inflight\":" << pool.inflight << "}";
   }
-  out << "],\"metrics\":" << obs::metrics_json(obs::default_registry());
+  out << "],\"metrics\":" << obs::metrics_json(registry);
   out << "}";
   return out.str();
 }
@@ -916,7 +916,7 @@ std::string Router::Impl::fleet_metrics_json(std::int64_t id) {
   std::vector<obs::InstanceExposition> instances;
   instances.push_back(obs::InstanceExposition{
       self_endpoint.empty() ? "router" : self_endpoint,
-      obs::prometheus_text(obs::default_registry())});
+      net::scrape_text(registry)});
   // Backends first (endpoint-sorted), then peers, so the per-instance
   // series order in the exposition is stable across scrapes.
   std::vector<std::string> targets;
@@ -1091,7 +1091,7 @@ void Router::Impl::replicate(RouteTask& task,
     put.id = static_cast<std::int64_t>(id);
     if (pool->submit(id, io::wire_request_json(put), /*framed=*/false,
                      std::make_shared<PendingReply>()))
-      stat_replica_puts.fetch_add(1, std::memory_order_relaxed);
+      replica_puts->add(1);
   }
 }
 
@@ -1289,14 +1289,7 @@ void Router::Impl::prepare_task(const rnet::Message& message,
                    true);
       return;
     }
-    std::ostringstream reply;
-    reply << "{";
-    if (wire.id >= 0) reply << "\"id\":" << wire.id << ",";
-    reply << "\"metrics\":true,\"content_type\":\"text/plain; "
-             "version=0.0.4\",\"body\":\""
-          << io::json::escape(obs::prometheus_text(obs::default_registry()))
-          << "\"}";
-    resolve_json(task, reply.str(), false);
+    resolve_json(task, net::metrics_reply(registry, wire.id), false);
     return;
   }
   if (wire.op == io::WireOp::Events) {
@@ -1368,8 +1361,7 @@ void Router::Impl::prepare_task(const rnet::Message& message,
   task.label = wire.request.label;
   task.include_partition = wire.include_partition;
   if (!try_admit()) {
-    stat_rejected.fetch_add(1, std::memory_order_relaxed);
-    obs_rejected->add(1);
+    rejected->add(1);
     resolve_error(task,
                   "overloaded: " + std::to_string(options.max_inflight) +
                       " requests already in flight");
@@ -1445,8 +1437,7 @@ void Router::Impl::prepare_task(const rnet::Message& message,
   task.promoted = hot.promoted;
   task.promoted_now = hot.promoted_now;
   task.hot_hits = hot.hits;
-  if (hot.promoted_now)
-    stat_promotions.fetch_add(1, std::memory_order_relaxed);
+  if (hot.promoted_now) promotions->add(1);
 
   if (l1) {
     span_start = obs::steady_micros();
@@ -1456,8 +1447,6 @@ void Router::Impl::prepare_task(const rnet::Message& message,
       task.trace->record("router.l1", obs::new_span_id(), task.root_span,
                          span_start, obs::steady_micros());
     if (hit) {
-      stat_l1_hits.fetch_add(1, std::memory_order_relaxed);
-      obs_l1_hits->add(1);
       engine::SolveReport report = std::move(hit->report);
       // A key promoted off an L1 repeat still warms its replicas — that is
       // the whole point: the backends must hold it before one of them (or
@@ -1520,10 +1509,7 @@ bool Router::Impl::dispatch(RouteTask& task) {
                      task.pending)) {
       task.preference_cursor = i;
       task.failovers += i > 0 ? 1 : 0;
-      if (i > 0) {
-        stat_failovers.fetch_add(1, std::memory_order_relaxed);
-        obs_failovers->add(1);
-      }
+      if (i > 0) failovers->add(1);
       task.forwarded = true;
       register_watch(task);
       return true;
@@ -1590,8 +1576,7 @@ std::string Router::Impl::await_reply(RouteTask& task) {
                        task.pending)) {
         task.preference_cursor = i;
         ++task.failovers;
-        stat_failovers.fetch_add(1, std::memory_order_relaxed);
-        obs_failovers->add(1);
+        failovers->add(1);
         register_watch(task);
         resubmitted = true;
         break;
@@ -1613,17 +1598,12 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
     task.trace->record("router.dispatch", task.dispatch_span, task.root_span,
                        task.dispatch_start_us, obs::steady_micros());
   if (raw.empty()) {
-    stat_errors.fetch_add(1, std::memory_order_relaxed);
     resolve_error(task, "all backends unavailable");
     return;
   }
   if (task.passthrough) {
     // Passthrough forwards are always JSON, so the reply is too.
     const bool is_error = raw.rfind("{\"error\"", 0) == 0;
-    if (is_error)
-      stat_errors.fetch_add(1, std::memory_order_relaxed);
-    else
-      stat_requests.fetch_add(1, std::memory_order_relaxed);
     resolve_json(task, net::with_id_prefix(raw, task.client_id), is_error);
     return;
   }
@@ -1636,7 +1616,6 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
       if (!be.message.empty()) message = be.message;
     } catch (const std::exception&) {
     }
-    stat_errors.fetch_add(1, std::memory_order_relaxed);
     resolve_error(task, message);
     return;
   }
@@ -1658,7 +1637,6 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
         }
       }
     } catch (const std::exception& e) {
-      stat_errors.fetch_add(1, std::memory_order_relaxed);
       resolve_error(task,
                     std::string("router: bad backend reply: ") + e.what());
       return;
@@ -1675,7 +1653,6 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
         message = error->as_string();
     } catch (const std::exception&) {
     }
-    stat_errors.fetch_add(1, std::memory_order_relaxed);
     resolve_error(task, message);
     return;
   } else {
@@ -1695,7 +1672,6 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
             task.trace->adopt(obs::spans_from_json(*spans));
       }
     } catch (const std::exception& e) {
-      stat_errors.fetch_add(1, std::memory_order_relaxed);
       resolve_error(task,
                     std::string("router: bad backend reply: ") + e.what());
       return;
@@ -1713,7 +1689,7 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
     // member of its replica set is the survives-a-kill property working.
     if (task.preference_cursor > 0 &&
         task.preference_cursor < options.replicas) {
-      stat_replica_hits.fetch_add(1, std::memory_order_relaxed);
+      replica_hits->add(1);
       report.add_telemetry("cluster.replica_hit",
                            static_cast<std::uint64_t>(task.preference_cursor));
     }
@@ -1730,10 +1706,6 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
   if (task.trace)
     task.trace->record("router.lift", obs::new_span_id(), task.root_span,
                        lift_start, obs::steady_micros());
-  if (task.immediate_is_error)
-    stat_errors.fetch_add(1, std::memory_order_relaxed);
-  else
-    stat_requests.fetch_add(1, std::memory_order_relaxed);
 }
 
 /// One micro-batch: prepare every message, dispatch the forwards (they
@@ -1775,18 +1747,17 @@ void Router::Impl::process_batch(const rnet::ConnPtr& conn,
       if (!conn->closed()) handle_watch(conn, task.client_id, task.mode);
       continue;
     }
-    const bool pre_resolved = task.resolved;
     if (!task.resolved) {
       finalize_reply(task, await_reply(task));
       unregister_watch(task);
     }
+    // The one count per answered line: an error reply, or a report (every
+    // admitted task that did not end in an error; admin verbs are neither).
     const bool is_error = task.immediate_is_error;
-    if (pre_resolved) {
-      if (is_error)
-        stat_errors.fetch_add(1, std::memory_order_relaxed);
-      else if (task.admitted || task.canonical_mode)
-        stat_requests.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (is_error)
+      errors->add(1);
+    else if (task.admitted)
+      requests->add(1);
 
     const std::uint64_t done_us = obs::steady_micros();
     const std::uint64_t elapsed_us = done_us - batch_start_us;
@@ -1818,11 +1789,7 @@ void Router::Impl::process_batch(const rnet::ConnPtr& conn,
       traces.add(ctx.hi, ctx.lo, std::move(spans));
     }
     if (task.admitted) {
-      obs_request->record(elapsed_us);
-      if (is_error)
-        obs_errors->add(1);
-      else
-        obs_requests->add(1);
+      request_micros->record(elapsed_us);
       if (options.slow_ms > 0) {
         const double elapsed_ms = static_cast<double>(elapsed_us) / 1000.0;
         if (elapsed_ms >= options.slow_ms)
@@ -1886,8 +1853,7 @@ void Router::Impl::health_loop() {
             detached.push_back(std::move(pool));
       }
     }
-    if (!evicted.empty())
-      stat_evictions.fetch_add(evicted.size(), std::memory_order_relaxed);
+    if (!evicted.empty()) evictions->add(evicted.size());
     for (const auto& pool : detached) pool->shutdown();
   }
 }
@@ -1958,7 +1924,7 @@ void Router::start() {
 
   rnet::ReactorCallbacks callbacks;
   callbacks.on_open = [&impl](const rnet::ConnPtr&) {
-    impl.stat_connections.fetch_add(1, std::memory_order_relaxed);
+    impl.connections->add(1);
   };
   callbacks.on_batch = [&impl](const rnet::ConnPtr& conn,
                                std::vector<rnet::Message> messages) {
@@ -2037,40 +2003,7 @@ std::uint16_t Router::port() const noexcept {
 }
 
 RouterStats Router::stats() const {
-  RouterStats out;
-  out.connections = impl_->stat_connections.load(std::memory_order_relaxed);
-  out.requests = impl_->stat_requests.load(std::memory_order_relaxed);
-  out.errors = impl_->stat_errors.load(std::memory_order_relaxed);
-  out.rejected = impl_->stat_rejected.load(std::memory_order_relaxed);
-  out.l1_hits = impl_->stat_l1_hits.load(std::memory_order_relaxed);
-  out.failovers = impl_->stat_failovers.load(std::memory_order_relaxed);
-  out.epoch = impl_->membership.epoch();
-  out.members = impl_->membership.size();
-  out.joins = impl_->stat_joins.load(std::memory_order_relaxed);
-  out.leaves = impl_->stat_leaves.load(std::memory_order_relaxed);
-  out.evictions = impl_->stat_evictions.load(std::memory_order_relaxed);
-  out.promotions = impl_->stat_promotions.load(std::memory_order_relaxed);
-  out.replica_hits = impl_->stat_replica_hits.load(std::memory_order_relaxed);
-  out.replica_puts = impl_->stat_replica_puts.load(std::memory_order_relaxed);
-  out.promoted = impl_->hot_keys.promoted_count();
-  if (impl_->lease) {
-    const cluster::LeaseStatus status = impl_->lease->status();
-    out.lease_holder = status.holder;
-    out.term = status.term;
-    out.leaseholder = status.held;
-  } else {
-    out.lease_holder = impl_->self_endpoint;
-    out.leaseholder = true;  // standalone: the implicit lease is ours
-  }
-  out.lease_acquires =
-      impl_->stat_lease_acquires.load(std::memory_order_relaxed);
-  out.lease_renewals =
-      impl_->stat_lease_renewals.load(std::memory_order_relaxed);
-  out.redirects = impl_->stat_redirects.load(std::memory_order_relaxed);
-  out.forwards = impl_->stat_forwards.load(std::memory_order_relaxed);
-  out.syncs_sent = impl_->stat_syncs_sent.load(std::memory_order_relaxed);
-  out.syncs_applied =
-      impl_->stat_syncs_applied.load(std::memory_order_relaxed);
+  RouterStats out = impl_->counts();
   for (const Impl::BackendSnapshot& backend : impl_->backend_snapshot()) {
     const PoolStats stats = backend.pool->stats();
     BackendHealth health;

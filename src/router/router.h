@@ -168,7 +168,8 @@ struct BackendHealth {
   std::uint64_t failures = 0;  ///< Connection breaks observed.
 };
 
-/// Router counters (stats verb, drain report, tests).
+/// Router counters (stats verb, drain report, tests), read from the
+/// router's own registry series (`router.*`) that its scrape exposes.
 struct RouterStats {
   std::uint64_t connections = 0;  ///< Client connections accepted.
   std::uint64_t requests = 0;     ///< Lines answered with a report.

@@ -3,7 +3,6 @@
 
 #include "service/cache.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
@@ -80,26 +79,29 @@ struct Shard {
 }  // namespace
 
 struct ResultCache::Impl {
+  Impl(Options opt, obs::Registry* registry, const std::string& prefix)
+      : options(opt), shards(opt.shards) {
+    if (registry == nullptr) {
+      own_registry = std::make_unique<obs::Registry>();
+      registry = own_registry.get();
+    }
+    hits = registry->counter(prefix + ".hits");
+    misses = registry->counter(prefix + ".misses");
+    evictions = registry->counter(prefix + ".evictions");
+    insertions = registry->counter(prefix + ".insertions");
+    lookup_micros = registry->histogram(prefix + ".lookup.micros");
+  }
+
   Options options;
   std::vector<Shard> shards;
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> evictions{0};
-  std::atomic<std::uint64_t> insertions{0};
-
-  // Process-wide registry mirrors (obs/metrics.h), resolved once so the
-  // hot paths pay one relaxed atomic add, no name lookup. Counters sum
-  // across every ResultCache in the process (backend cache + router L1).
-  obs::Counter* obs_hits = obs::default_registry().counter("cache.hits");
-  obs::Counter* obs_misses = obs::default_registry().counter("cache.misses");
-  obs::Counter* obs_evictions =
-      obs::default_registry().counter("cache.evictions");
-  obs::Counter* obs_insertions =
-      obs::default_registry().counter("cache.insertions");
-  obs::Histogram* obs_lookup =
-      obs::default_registry().histogram("cache.lookup.micros");
-
-  explicit Impl(Options opt) : options(opt), shards(opt.shards) {}
+  std::unique_ptr<obs::Registry> own_registry;
+  // Series resolved once, so the hot paths pay one relaxed atomic add and
+  // no name lookup.
+  obs::Counter* hits = nullptr;
+  obs::Counter* misses = nullptr;
+  obs::Counter* evictions = nullptr;
+  obs::Counter* insertions = nullptr;
+  obs::Histogram* lookup_micros = nullptr;
 
   Shard& shard_for(const canon::CacheKey& key) {
     return shards[static_cast<std::size_t>(key.lo) % shards.size()];
@@ -119,26 +121,28 @@ struct ResultCache::Impl {
       freed += victim.bytes;
       shard.index.erase(victim.key);
       shard.lru.pop_back();
-      evictions.fetch_add(1, std::memory_order_relaxed);
-      obs_evictions->add();
+      evictions->add();
     }
     if (freed != 0)
       obs::emit_event(obs::EventCode::CacheEvict, freed, shard.lru.size());
   }
 };
 
-ResultCache::ResultCache(Options options)
-    : impl_(std::make_unique<Impl>(Options{
-          options.capacity_bytes,
-          options.shards == 0 ? std::size_t{1} : options.shards})) {}
+ResultCache::ResultCache(Options options, obs::Registry* registry,
+                         const std::string& prefix)
+    : impl_(std::make_unique<Impl>(
+          Options{options.capacity_bytes,
+                  options.shards == 0 ? std::size_t{1} : options.shards},
+          registry, prefix)) {}
 
 ResultCache::~ResultCache() = default;
 
-std::shared_ptr<ResultCache> ResultCache::with_capacity_mb(double mb) {
+std::shared_ptr<ResultCache> ResultCache::with_capacity_mb(
+    double mb, obs::Registry* registry, const std::string& prefix) {
   Options options;
   if (mb < 0) mb = 0;
   options.capacity_bytes = static_cast<std::size_t>(mb * 1024.0 * 1024.0);
-  return std::make_shared<ResultCache>(options);
+  return std::make_shared<ResultCache>(options, registry, prefix);
 }
 
 std::optional<CachedResult> ResultCache::lookup(
@@ -152,16 +156,14 @@ std::optional<CachedResult> ResultCache::lookup(
     if (it != shard.index.end() && it->second->strategy == strategy &&
         it->second->pattern == canonical_pattern) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      impl_->hits.fetch_add(1, std::memory_order_relaxed);
       CachedResult result{it->second->report};
-      impl_->obs_hits->add();
-      impl_->obs_lookup->record(obs::steady_micros() - start_us);
+      impl_->hits->add();
+      impl_->lookup_micros->record(obs::steady_micros() - start_us);
       return result;
     }
   }
-  impl_->misses.fetch_add(1, std::memory_order_relaxed);
-  impl_->obs_misses->add();
-  impl_->obs_lookup->record(obs::steady_micros() - start_us);
+  impl_->misses->add();
+  impl_->lookup_micros->record(obs::steady_micros() - start_us);
   return std::nullopt;
 }
 
@@ -187,8 +189,7 @@ void ResultCache::insert(const canon::CacheKey& key,
     entry.bytes = entry_bytes(entry.pattern, entry.report);
     shard.bytes += entry.bytes;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    impl_->insertions.fetch_add(1, std::memory_order_relaxed);
-    impl_->obs_insertions->add();
+    impl_->insertions->add();
     impl_->evict_over_budget(shard);
     return;
   }
@@ -197,17 +198,16 @@ void ResultCache::insert(const canon::CacheKey& key,
   shard.lru.push_front(std::move(entry));
   shard.index[key] = shard.lru.begin();
   shard.bytes += shard.lru.front().bytes;
-  impl_->insertions.fetch_add(1, std::memory_order_relaxed);
-  impl_->obs_insertions->add();
+  impl_->insertions->add();
   impl_->evict_over_budget(shard);
 }
 
 CacheStats ResultCache::counters() const noexcept {
   CacheStats out;
-  out.hits = impl_->hits.load(std::memory_order_relaxed);
-  out.misses = impl_->misses.load(std::memory_order_relaxed);
-  out.evictions = impl_->evictions.load(std::memory_order_relaxed);
-  out.insertions = impl_->insertions.load(std::memory_order_relaxed);
+  out.hits = impl_->hits->value();
+  out.misses = impl_->misses->value();
+  out.evictions = impl_->evictions->value();
+  out.insertions = impl_->insertions->value();
   return out;
 }
 
@@ -219,6 +219,18 @@ CacheStats ResultCache::stats() const {
     out.bytes += shard.bytes;
   }
   return out;
+}
+
+std::string stats_json(const ResultCache* cache) {
+  if (cache == nullptr) return "null";
+  const CacheStats stats = cache->stats();
+  std::ostringstream out;
+  out << "{\"hits\":" << stats.hits << ",\"misses\":" << stats.misses
+      << ",\"evictions\":" << stats.evictions
+      << ",\"insertions\":" << stats.insertions
+      << ",\"entries\":" << stats.entries << ",\"bytes\":" << stats.bytes
+      << ",\"capacity_bytes\":" << cache->capacity_bytes() << "}";
+  return out.str();
 }
 
 void ResultCache::clear() {

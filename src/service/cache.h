@@ -22,15 +22,22 @@
 ///    better report (stronger status, then smaller depth), so a later
 ///    budget-starved solve never downgrades a cached optimal certificate.
 ///
-/// Counters (hits/misses/evictions/insertions) are atomics surfaced into
-/// SolveReport telemetry by the engine's cache hook.
+/// Counters (hits/misses/evictions/insertions) are series of an
+/// obs::Registry — the owning server's or router's, under a name prefix
+/// that says which tier's cache they count — surfaced into SolveReport
+/// telemetry by the engine's cache hook.
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "engine/engine.h"
 #include "service/canon.h"
+
+namespace ebmf::obs {
+class Registry;
+}  // namespace ebmf::obs
 
 namespace ebmf::cache {
 
@@ -59,7 +66,12 @@ class ResultCache {
     std::size_t shards = 16;                   ///< Independent lock domains.
   };
 
-  explicit ResultCache(Options options);
+  /// The counters are series of `registry` named `<prefix>.hits`,
+  /// `<prefix>.misses`, `<prefix>.evictions`, `<prefix>.insertions` and
+  /// `<prefix>.lookup.micros`; `registry` must outlive the cache. A null
+  /// `registry` gives the cache one of its own.
+  explicit ResultCache(Options options, obs::Registry* registry = nullptr,
+                       const std::string& prefix = "cache");
   ~ResultCache();
 
   ResultCache(const ResultCache&) = delete;
@@ -67,8 +79,11 @@ class ResultCache {
 
   /// Convenience: a shared cache with a megabyte budget (0 MB still caches
   /// a single small entry per shard; pass a null pointer to disable caching
-  /// entirely at the engine).
-  static std::shared_ptr<ResultCache> with_capacity_mb(double mb);
+  /// entirely at the engine). `registry` and `prefix` as for the
+  /// constructor.
+  static std::shared_ptr<ResultCache> with_capacity_mb(
+      double mb, obs::Registry* registry = nullptr,
+      const std::string& prefix = "cache");
 
   /// The report cached under `key`, provided the stored canonical pattern
   /// and strategy match exactly (collision guard). Refreshes LRU recency.
@@ -87,8 +102,8 @@ class ResultCache {
   /// not for per-request telemetry; use counters() on hot paths.
   [[nodiscard]] CacheStats stats() const;
 
-  /// Lock-free subset of stats(): just the atomic hit/miss/eviction/
-  /// insertion counters (entries and bytes stay 0).
+  /// Lock-free subset of stats(): just the hit/miss/eviction/insertion
+  /// counters (entries and bytes stay 0).
   [[nodiscard]] CacheStats counters() const noexcept;
 
   /// Drop every entry (counters are retained).
@@ -121,5 +136,9 @@ class ResultCache {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// The `{"op":"stats"}` object of `cache` — its CacheStats plus
+/// `capacity_bytes` — or `null` when there is no cache.
+[[nodiscard]] std::string stats_json(const ResultCache* cache);
 
 }  // namespace ebmf::cache

@@ -19,6 +19,7 @@
 #include <stdexcept>
 
 #include "io/json.h"
+#include "obs/metrics.h"
 #include "support/fault.h"
 
 namespace ebmf::service::net {
@@ -42,6 +43,21 @@ std::string error_json(const std::string& message, const std::string& label,
   out += "\"error\":\"" + io::json::escape(message) + "\"";
   if (!label.empty()) out += ",\"label\":\"" + io::json::escape(label) + "\"";
   out += "}";
+  return out;
+}
+
+std::string scrape_text(const obs::Registry& instance) {
+  return obs::prometheus_text(instance) +
+         obs::prometheus_text(obs::default_registry());
+}
+
+std::string metrics_reply(const obs::Registry& instance, std::int64_t id) {
+  std::string out = "{";
+  if (id >= 0) out += "\"id\":" + std::to_string(id) + ",";
+  out +=
+      "\"metrics\":true,\"content_type\":\"text/plain; version=0.0.4\","
+      "\"body\":\"" +
+      io::json::escape(scrape_text(instance)) + "\"}";
   return out;
 }
 

@@ -23,6 +23,10 @@
 #include <string>
 #include <utility>
 
+namespace ebmf::obs {
+class Registry;
+}  // namespace ebmf::obs
+
 namespace ebmf::service::net {
 
 /// Throw std::runtime_error("<what>: <strerror(errno)>").
@@ -36,6 +40,15 @@ void set_tcp_nodelay(int fd);
 /// — the protocol's failure reply (id < 0 omits the field).
 std::string error_json(const std::string& message, const std::string& label,
                        std::int64_t id = -1);
+
+/// The Prometheus text a server or router is scraped as: the series of
+/// its own registry, then the process-wide solver series
+/// (obs::default_registry()).
+std::string scrape_text(const obs::Registry& instance);
+
+/// The `{"op":"metrics"}` reply: scrape_text(instance) wrapped in one JSON
+/// line (the protocol is line-framed), with an optional `"id"`.
+std::string metrics_reply(const obs::Registry& instance, std::int64_t id);
 
 /// Send `bytes` (a framed line or a whole binary frame) fully, through the
 /// fault-injection write seams; false when the peer is gone (errno is left

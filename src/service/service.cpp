@@ -83,7 +83,8 @@ struct Server::Impl {
   explicit Impl(ServerOptions opt) : options(std::move(opt)) {
     if (options.max_batch == 0) options.max_batch = 1;
     if (options.cache_mb > 0)
-      engine.set_cache(cache::ResultCache::with_capacity_mb(options.cache_mb));
+      engine.set_cache(cache::ResultCache::with_capacity_mb(
+          options.cache_mb, &registry, "server.cache"));
     if (!options.trace_file.empty()) {
       std::string error;
       if (!traces.set_file(options.trace_file, &error))
@@ -98,6 +99,9 @@ struct Server::Impl {
   }
 
   ServerOptions options;
+  /// Every series this server records, its result cache's included
+  /// (`server.cache.*`). Declared before the engine that holds the cache.
+  obs::Registry registry;
   engine::Engine engine;
 
   /// Completed traces of requests this server handled (op:trace/op:traces).
@@ -121,16 +125,17 @@ struct Server::Impl {
   mutable std::mutex inflight_mutex;
   std::map<std::int64_t, InflightEntry> inflight_watch;
 
-  // Registry series, resolved once (obs/metrics.h).
-  obs::Histogram* obs_request =
-      obs::default_registry().histogram("server.request.micros");
-  obs::Counter* obs_requests =
-      obs::default_registry().counter("server.requests");
-  obs::Counter* obs_errors = obs::default_registry().counter("server.errors");
-  obs::Counter* obs_rejected =
-      obs::default_registry().counter("server.rejected");
-  obs::Gauge* obs_inflight =
-      obs::default_registry().gauge("server.inflight");
+  // The ServerStats counters and the latency series, resolved once.
+  obs::Counter* connections = registry.counter("server.connections");
+  obs::Counter* requests = registry.counter("server.requests");
+  obs::Counter* errors = registry.counter("server.errors");
+  obs::Counter* rejected = registry.counter("server.rejected");
+  obs::Counter* puts = registry.counter("server.puts");
+  obs::Counter* joins_sent = registry.counter("server.joins_sent");
+  obs::Counter* join_rejects = registry.counter("server.join_rejects");
+  obs::Gauge* inflight_gauge = registry.gauge("server.inflight");
+  obs::Histogram* request_micros =
+      registry.histogram("server.request.micros");
 
   /// The I/O tier. Created in start(); shutdown (not destroyed) in stop(),
   /// so port() and stats stay answerable after a drain.
@@ -149,14 +154,8 @@ struct Server::Impl {
   std::mutex announce_mutex;
   std::vector<int> announce_fds;
 
+  /// The admission gate (try_admit reads the old value it adds to).
   std::atomic<std::size_t> inflight{0};
-  std::atomic<std::uint64_t> stat_connections{0};
-  std::atomic<std::uint64_t> stat_requests{0};
-  std::atomic<std::uint64_t> stat_errors{0};
-  std::atomic<std::uint64_t> stat_rejected{0};
-  std::atomic<std::uint64_t> stat_puts{0};
-  std::atomic<std::uint64_t> stat_joins_sent{0};
-  std::atomic<std::uint64_t> stat_join_rejects{0};
 
   /// Reserve one admission slot; false when the server is at capacity.
   bool try_admit() {
@@ -167,17 +166,18 @@ struct Server::Impl {
       inflight.fetch_sub(1, std::memory_order_relaxed);
       return false;
     }
-    obs_inflight->add(1);
+    inflight_gauge->add(1);
     return true;
   }
 
   void release_admitted(std::size_t count) {
     if (count > 0) {
       inflight.fetch_sub(count, std::memory_order_relaxed);
-      obs_inflight->add(-static_cast<std::int64_t>(count));
+      inflight_gauge->add(-static_cast<std::int64_t>(count));
     }
   }
 
+  ServerStats counts() const;
   std::string stats_json(std::int64_t id) const;
   std::string handle_put(const io::WireRequest& wire);
   void handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
@@ -192,33 +192,33 @@ struct Server::Impl {
                      std::vector<rnet::Message> messages);
 };
 
+ServerStats Server::Impl::counts() const {
+  ServerStats out;
+  out.connections = connections->value();
+  out.requests = requests->value();
+  out.errors = errors->value();
+  out.rejected = rejected->value();
+  out.puts = puts->value();
+  out.joins_sent = joins_sent->value();
+  out.join_rejects = join_rejects->value();
+  return out;
+}
+
 /// The `{"op":"stats"}` reply: server counters + cache counters, one line.
 std::string Server::Impl::stats_json(std::int64_t id) const {
+  const ServerStats stats = counts();
   std::ostringstream out;
   out << "{";
   if (id >= 0) out << "\"id\":" << id << ",";
   out << "\"stats\":true,\"role\":\"server\",\"server\":{"
-      << "\"connections\":" << stat_connections.load(std::memory_order_relaxed)
-      << ",\"requests\":" << stat_requests.load(std::memory_order_relaxed)
-      << ",\"errors\":" << stat_errors.load(std::memory_order_relaxed)
-      << ",\"rejected\":" << stat_rejected.load(std::memory_order_relaxed)
-      << ",\"puts\":" << stat_puts.load(std::memory_order_relaxed)
-      << ",\"joins_sent\":" << stat_joins_sent.load(std::memory_order_relaxed)
-      << ",\"join_rejects\":"
-      << stat_join_rejects.load(std::memory_order_relaxed)
+      << "\"connections\":" << stats.connections
+      << ",\"requests\":" << stats.requests << ",\"errors\":" << stats.errors
+      << ",\"rejected\":" << stats.rejected << ",\"puts\":" << stats.puts
+      << ",\"joins_sent\":" << stats.joins_sent
+      << ",\"join_rejects\":" << stats.join_rejects
       << ",\"inflight\":" << inflight.load(std::memory_order_relaxed)
       << ",\"max_inflight\":" << options.max_inflight << "}";
-  if (engine.cache()) {
-    const cache::CacheStats stats = engine.cache()->stats();
-    out << ",\"cache\":{\"hits\":" << stats.hits
-        << ",\"misses\":" << stats.misses
-        << ",\"evictions\":" << stats.evictions
-        << ",\"insertions\":" << stats.insertions
-        << ",\"entries\":" << stats.entries << ",\"bytes\":" << stats.bytes
-        << ",\"capacity_bytes\":" << engine.cache()->capacity_bytes() << "}";
-  } else {
-    out << ",\"cache\":null";
-  }
+  out << ",\"cache\":" << cache::stats_json(engine.cache().get());
   // The in-flight requests panel (ebmf top): one entry per watchable solve
   // with its live incumbent/bound bracket from the progress sink.
   out << ",\"inflight_requests\":[";
@@ -242,7 +242,7 @@ std::string Server::Impl::stats_json(std::int64_t id) const {
     }
   }
   out << "]";
-  out << ",\"metrics\":" << obs::metrics_json(obs::default_registry());
+  out << ",\"metrics\":" << obs::metrics_json(registry);
   out << "}";
   return out.str();
 }
@@ -327,25 +327,21 @@ void Server::Impl::log_slow(const engine::SolveReport& report,
 /// an input, not trusted state — the pattern must already be canonical
 /// (so the stored key matches what this server's own lookups compute) and
 /// the certificate must validate before anything reaches the cache; a bad
-/// put becomes an error reply, never a wrong cached answer.
+/// put becomes an error reply, never a wrong cached answer. Returns the
+/// error message of a refused put, empty when the entry was stored.
 std::string Server::Impl::handle_put(const io::WireRequest& wire) {
-  if (!engine.cache())
-    return error_json("put: this server runs without a cache", "", wire.id);
+  if (!engine.cache()) return "put: this server runs without a cache";
   const canon::Canonical canonical = canon::canonicalize(wire.request.matrix);
   if (!(canonical.pattern == wire.request.matrix))
-    return error_json("put: pattern is not canonical", "", wire.id);
+    return "put: pattern is not canonical";
   if (wire.put_report.partition.empty() ||
       !validate_partition(canonical.pattern, wire.put_report.partition))
-    return error_json("put: invalid certificate", "", wire.id);
+    return "put: invalid certificate";
   const canon::CacheKey key = canonical.key.mixed_with(wire.request.strategy);
   engine.cache()->insert(key, wire.request.strategy, canonical.pattern,
                          wire.put_report);
-  stat_puts.fetch_add(1, std::memory_order_relaxed);
-  std::ostringstream out;
-  out << "{";
-  if (wire.id >= 0) out << "\"id\":" << wire.id << ",";
-  out << "\"ok\":true,\"put\":true}";
-  return out.str();
+  puts->add(1);
+  return std::string();
 }
 
 /// The endpoint this server announces: --advertise when given, else the
@@ -383,10 +379,9 @@ bool Server::Impl::announce_round(const std::string& router,
   // A router that answered but refused (not --dynamic, bad endpoint) must
   // not be indistinguishable from an unreachable one: the reject counter
   // shows up in this server's own stats verb.
-  if (!reply.empty() && !joined)
-    stat_join_rejects.fetch_add(1, std::memory_order_relaxed);
+  if (!reply.empty() && !joined) join_rejects->add(1);
   if (joined) {
-    stat_joins_sent.fetch_add(1, std::memory_order_relaxed);
+    joins_sent->add(1);
     // Heartbeat until the router stops answering or asks for a re-join.
     while (!(stopped = stopping.load(std::memory_order_relaxed))) {
       // Nap one heartbeat interval in slices so stop() lands promptly.
@@ -562,15 +557,7 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
                             std::string(" (got '") + wire.scope + "')";
         continue;
       }
-      std::ostringstream reply;
-      reply << "{";
-      if (wire.id >= 0) reply << "\"id\":" << wire.id << ",";
-      reply << "\"metrics\":true,\"content_type\":\"text/plain; "
-               "version=0.0.4\",\"body\":\""
-            << io::json::escape(
-                   obs::prometheus_text(obs::default_registry()))
-            << "\"}";
-      p.immediate = reply.str();
+      p.immediate = net::metrics_reply(impl.registry, wire.id);
       continue;
     }
     if (wire.op == io::WireOp::Events) {
@@ -624,18 +611,17 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
       // validation on untrusted payloads is real work, and a put flood
       // must shed exactly like a solve flood.
       if (!impl.try_admit()) {
-        impl.stat_rejected.fetch_add(1, std::memory_order_relaxed);
-        impl.obs_rejected->add(1);
+        impl.rejected->add(1);
         p.error = "overloaded: " + std::to_string(impl.options.max_inflight) +
                   " requests already in flight";
         continue;
       }
       p.admitted = true;
       ++admitted;
-      p.immediate = impl.handle_put(wire);
-      if (p.immediate.rfind("{\"error\"", 0) == 0 ||
-          p.immediate.find(",\"error\"", 0) != std::string::npos)
-        impl.stat_errors.fetch_add(1, std::memory_order_relaxed);
+      p.error = impl.handle_put(wire);
+      if (p.error.empty())
+        p.immediate =
+            net::with_id_prefix("{\"ok\":true,\"put\":true}", wire.id);
       continue;
     }
     if (wire.op == io::WireOp::Join || wire.op == io::WireOp::Leave ||
@@ -651,8 +637,7 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
     p.rows = wire.request.matrix.rows();
     p.cols = wire.request.matrix.cols();
     if (!impl.try_admit()) {
-      impl.stat_rejected.fetch_add(1, std::memory_order_relaxed);
-      impl.obs_rejected->add(1);
+      impl.rejected->add(1);
       p.error = "overloaded: " + std::to_string(impl.options.max_inflight) +
                 " requests already in flight";
       continue;
@@ -753,8 +738,7 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
     if (!p.immediate.empty()) {
       reply = p.immediate;
     } else if (!p.error.empty()) {
-      impl.stat_errors.fetch_add(1, std::memory_order_relaxed);
-      impl.obs_errors->add(1);
+      impl.errors->add(1);
       if (binary_solve) {
         out_type = rnet::kFrameError;
         payload = io::binary_error_payload(p.id, p.error, p.label);
@@ -767,8 +751,7 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
       // solve_batch converts per-request failures (unknown strategy) into
       // "error" telemetry; surface those as protocol errors too.
       if (const std::string* error = report.find_telemetry("error")) {
-        impl.stat_errors.fetch_add(1, std::memory_order_relaxed);
-        impl.obs_errors->add(1);
+        impl.errors->add(1);
         if (binary_solve) {
           out_type = rnet::kFrameError;
           payload = io::binary_error_payload(p.id, *error, report.label);
@@ -776,8 +759,7 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
           reply = error_json(*error, report.label, p.id);
         }
       } else {
-        impl.stat_requests.fetch_add(1, std::memory_order_relaxed);
-        impl.obs_requests->add(1);
+        impl.requests->add(1);
         done = &report;
         if (p.budgeted && report.status != engine::Status::Optimal) {
           // A budget-cut reply carries the flight recorder's tail — the
@@ -822,10 +804,9 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
                                           p.rows, p.cols, events_json,
                                           spans_json);
     if (done || !p.error.empty()) {
-      impl.obs_request->record(elapsed_us);
+      impl.request_micros->record(elapsed_us);
       if (done)
-        obs::default_registry()
-            .histogram("server.solve." + done->strategy + ".micros")
+        impl.registry.histogram("server.solve." + done->strategy + ".micros")
             ->record(elapsed_us);
     }
     if (done && impl.options.slow_ms > 0) {
@@ -874,7 +855,7 @@ void Server::start() {
   rnet::ReactorCallbacks callbacks;
   callbacks.on_open = [&impl](const rnet::ConnPtr& conn) {
     conn->set_user(std::make_shared<ConnState>());
-    impl.stat_connections.fetch_add(1, std::memory_order_relaxed);
+    impl.connections->add(1);
   };
   callbacks.on_batch = [&impl](const rnet::ConnPtr& conn,
                                std::vector<rnet::Message> messages) {
@@ -968,18 +949,7 @@ std::uint16_t Server::port() const noexcept {
   return impl_->reactor ? impl_->reactor->port() : 0;
 }
 
-ServerStats Server::stats() const {
-  ServerStats out;
-  out.connections = impl_->stat_connections.load(std::memory_order_relaxed);
-  out.requests = impl_->stat_requests.load(std::memory_order_relaxed);
-  out.errors = impl_->stat_errors.load(std::memory_order_relaxed);
-  out.rejected = impl_->stat_rejected.load(std::memory_order_relaxed);
-  out.puts = impl_->stat_puts.load(std::memory_order_relaxed);
-  out.joins_sent = impl_->stat_joins_sent.load(std::memory_order_relaxed);
-  out.join_rejects =
-      impl_->stat_join_rejects.load(std::memory_order_relaxed);
-  return out;
-}
+ServerStats Server::stats() const { return impl_->counts(); }
 
 engine::Engine& Server::engine() noexcept { return impl_->engine; }
 

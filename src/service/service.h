@@ -99,7 +99,8 @@ struct ServerOptions {
   std::string trace_file;
 };
 
-/// Point-in-time server counters (drain report, tests).
+/// Point-in-time server counters (drain report, tests), read from the
+/// server's own registry series (`server.*`) that its scrape exposes.
 struct ServerStats {
   std::uint64_t connections = 0;  ///< Accepted since start.
   std::uint64_t requests = 0;     ///< Lines answered with a report.

@@ -25,6 +25,10 @@ struct Shape {
   std::size_t expected_depth;
 };
 
+// Print a case by its name, so each instance's test name is stable instead of
+// the raw bytes of the string pointers (which move with every build and run).
+void PrintTo(const Shape& shape, std::ostream* os) { *os << shape.name; }
+
 class DegenerateShapes : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(DegenerateShapes, WholePipelineAgrees) {

@@ -18,6 +18,7 @@
 
 #include "benchgen/generators.h"
 #include "io/json.h"
+#include "obs/metrics.h"
 #include "router/pool.h"
 #include "router/ring.h"
 #include "service/net.h"
@@ -253,7 +254,8 @@ TEST(BackendPool, ReconnectRespectsExponentialBackoff) {
   // the upgrade negotiation (a bounded protocol exchange) would read it as
   // wedged; this test measures backoff clocks, not the wire handshake.
   options.negotiate_binary = false;
-  BackendPool pool("127.0.0.1", port, options);
+  obs::Registry registry;
+  BackendPool pool("127.0.0.1", port, options, registry);
   using Clock = std::chrono::steady_clock;
 
   // Failure 1: arms a 100 ms window and doubles the next one to 200 ms.
@@ -578,33 +580,25 @@ TEST(Router, FleetMetricsScrapeSumsBackendCounters) {
   const std::string body = reply.document.find("body")->as_string();
 
   // The acceptance bar: the fleet request-counter line equals the sum of
-  // the per-instance lines, in one exposition. (In this in-process fixture
-  // every instance shares the process-global registry, so each scrape sees
-  // the same counter — the *federation* invariant `fleet = sum(instances)`
-  // is what the merge must preserve regardless.)
+  // the per-instance lines, in one exposition. Every instance counts into a
+  // registry of its own, so the backends' lines split the five solves
+  // between them, and the router's self-exposition (labeled "router" when
+  // standalone) carries no server series at all.
   long long instance_sum = 0;
   for (const auto& server : fleet.servers) {
     const std::string instance =
         "127.0.0.1:" + std::to_string(server->port());
     const long long value =
         federated_value(body, "ebmf_server_requests_total", instance);
-    ASSERT_GE(value, 5) << "no per-instance line for " << instance;
+    ASSERT_GE(value, 0) << "no per-instance line for " << instance;
     instance_sum += value;
   }
-  // The router scrapes itself too; its self-exposition contributes when it
-  // carries the series (same process here). Standalone routers label
-  // themselves "router"; peer-fleet members use their advertised endpoint.
-  for (const std::string self :
-       {std::string("router"),
-        "127.0.0.1:" + std::to_string(fleet.router->port())}) {
-    const long long value =
-        federated_value(body, "ebmf_server_requests_total", self);
-    if (value >= 0) instance_sum += value;
-  }
+  EXPECT_EQ(instance_sum, 5);
+  EXPECT_EQ(federated_value(body, "ebmf_server_requests_total", "router"), -1);
   EXPECT_EQ(federated_value(body, "ebmf_server_requests_total", "fleet"),
             instance_sum);
   // The router's own series federate too (it is one of the instances).
-  EXPECT_GE(federated_value(body, "ebmf_router_requests_total", "fleet"), 5);
+  EXPECT_EQ(federated_value(body, "ebmf_router_requests_total", "fleet"), 5);
   // Histogram buckets survive the merge with cumulative monotone counts.
   EXPECT_NE(body.find("_bucket{instance=\"fleet\",le=\""), std::string::npos);
 }

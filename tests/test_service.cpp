@@ -1,6 +1,7 @@
 // Tests for ebmf::service: in-process server round-trips, per-connection
 // ordering under pipelining, 64-way concurrency, protocol errors, admission
-// control, and the cache behaviour across connections.
+// control, the cache behaviour across connections, and per-instance
+// metrics that agree with the stats verb on the server and router tiers.
 
 #include "service/service.h"
 
@@ -12,7 +13,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +24,7 @@
 #include "benchgen/generators.h"
 #include "io/json.h"
 #include "io/request_io.h"
+#include "router/router.h"
 #include "support/rng.h"
 
 namespace ebmf::service {
@@ -597,6 +601,193 @@ TEST(Metrics, MalformedScopeIsRejectedFleetNeedsARouter) {
     ASSERT_FALSE(ok.is_error()) << scope;
     EXPECT_NE(ok.document.find("body"), nullptr);
   }
+  server.stop();
+}
+
+/// The `{"op":"metrics"}` body of the instance behind `client`.
+std::string scrape(Client& client) {
+  const Reply reply(client.round_trip(R"({"op":"metrics"})"));
+  return reply.document.find("body")->as_string();
+}
+
+/// The value of the unlabeled sample `name` in a Prometheus body; -1 when
+/// the body has no such line.
+long long sample(const std::string& body, const std::string& name) {
+  const std::string text = "\n" + body;
+  const std::string needle = "\n" + name + " ";
+  const std::size_t pos = text.find(needle);
+  if (pos == std::string::npos) return -1;
+  return std::strtoll(text.c_str() + pos + needle.size(), nullptr, 10);
+}
+
+/// `host:port` as the Prometheus name fragment it becomes in a series name.
+std::string name_fragment(std::string endpoint) {
+  for (char& c : endpoint)
+    if (c == '.' || c == ':') c = '_';
+  return endpoint;
+}
+
+/// Every listed counter of `stats[object]` must equal the series
+/// `<prefix>_<key>_total` of the same instance's scrape.
+void expect_counters_match(const io::json::Value& stats, const char* object,
+                           std::initializer_list<const char*> keys,
+                           const std::string& body, const std::string& prefix) {
+  const io::json::Value* counters = stats.find(object);
+  ASSERT_NE(counters, nullptr) << object;
+  for (const char* key : keys) {
+    const io::json::Value* value = counters->find(key);
+    ASSERT_NE(value, nullptr) << object << "." << key;
+    const std::string series = prefix + "_" + key + "_total";
+    EXPECT_EQ(static_cast<long long>(value->as_number()), sample(body, series))
+        << object << "." << key << " vs " << series;
+  }
+}
+
+/// Send two solves in one write: on an instance with one admission slot
+/// both land in one batch, and the second is shed.
+void send_pair(Client& client, const std::string& first,
+               const std::string& second) {
+  client.send_line("{\"pattern\":\"" + first + "\"}\n{\"pattern\":\"" +
+                   second + "\"}");
+  client.read_line();
+  client.read_line();
+}
+
+TEST(Metrics, StatsVerbAgreesWithTheScrapeOnBothTiers) {
+  ServerOptions server_options = test_options();
+  server_options.max_inflight = 1;
+  Server server(server_options);
+  server.start();
+  router::RouterOptions router_options;
+  router_options.port = 0;
+  router_options.l1_mb = 8;
+  router_options.max_inflight = 1;
+  router_options.backends = {"127.0.0.1:" + std::to_string(server.port())};
+  router::Router router(router_options);
+  router.start();
+  const char* bad_put =
+      R"({"op":"put","pattern":"10;01","strategy":"auto","report":{}})";
+
+  // Backend tier: a cold solve, a cache hit, a malformed line, a rejected
+  // request (the second of a pair), and a bad put.
+  Client direct("127.0.0.1", server.port());
+  EXPECT_FALSE(Reply(direct.round_trip(R"({"pattern":"110;011;111"})"))
+                   .is_error());
+  EXPECT_EQ(Reply(direct.round_trip(R"({"pattern":"110;011;111"})"))
+                .telemetry("cache_hit"),
+            "true");
+  EXPECT_TRUE(Reply(direct.round_trip("this is not json")).is_error());
+  send_pair(direct, "10;01", "1;1");
+  EXPECT_TRUE(Reply(direct.round_trip(bad_put)).is_error());
+
+  // Router tier: a cold solve, an L1 hit (a row permutation of it), a
+  // backend cache hit (a permutation of the pattern solved above), a
+  // malformed line, a rejected request, and a put (a backend-only verb).
+  Client routed("127.0.0.1", router.port());
+  EXPECT_FALSE(
+      Reply(routed.round_trip(R"({"pattern":"1100;0110;0011;1001"})"))
+          .is_error());
+  EXPECT_EQ(Reply(routed.round_trip(R"({"pattern":"0110;1100;1001;0011"})"))
+                .telemetry("routed.l1"),
+            "hit");
+  EXPECT_EQ(Reply(routed.round_trip(R"({"pattern":"011;110;111"})"))
+                .telemetry("cache_hit"),
+            "true");
+  EXPECT_TRUE(Reply(routed.round_trip("this is not json")).is_error());
+  send_pair(routed, "101;010;111", "1;1");
+  EXPECT_TRUE(Reply(routed.round_trip(bad_put)).is_error());
+
+  const Reply server_stats(direct.round_trip(R"({"op":"stats"})"));
+  const std::string server_body = scrape(direct);
+  expect_counters_match(server_stats.document, "server",
+                        {"connections", "requests", "errors", "rejected",
+                         "puts", "joins_sent", "join_rejects"},
+                        server_body, "ebmf_server");
+  expect_counters_match(server_stats.document, "cache",
+                        {"hits", "misses", "evictions", "insertions"},
+                        server_body, "ebmf_server_cache");
+  const ServerStats backend = server.stats();
+  // Three reports asked directly, three forwarded by the router.
+  EXPECT_EQ(backend.requests, 6u);
+  EXPECT_EQ(backend.rejected, 1u);
+  EXPECT_EQ(backend.errors, 3u);
+
+  const Reply router_stats(routed.round_trip(R"({"op":"stats"})"));
+  const std::string router_body = scrape(routed);
+  expect_counters_match(router_stats.document, "router",
+                        {"connections", "requests", "errors", "rejected",
+                         "l1_hits", "failovers"},
+                        router_body, "ebmf_router");
+  expect_counters_match(router_stats.document, "cluster",
+                        {"joins", "leaves", "evictions", "promotions",
+                         "replica_hits", "replica_puts"},
+                        router_body, "ebmf_router_cluster");
+  expect_counters_match(router_stats.document, "l1",
+                        {"hits", "misses", "evictions", "insertions"},
+                        router_body, "ebmf_router_l1");
+  const io::json::Value* backends = router_stats.document.find("backends");
+  ASSERT_NE(backends, nullptr);
+  ASSERT_EQ(backends->size(), 1u);
+  const std::string pool =
+      "ebmf_router_pool_" +
+      name_fragment(backends->at(0).find("endpoint")->as_string());
+  EXPECT_EQ(static_cast<long long>(
+                backends->at(0).find("requests")->as_number()),
+            sample(router_body, pool + "_dispatches_total"));
+  EXPECT_EQ(static_cast<long long>(
+                backends->at(0).find("failures")->as_number()),
+            sample(router_body, pool + "_failures_total"));
+  const router::RouterStats front = router.stats();
+  EXPECT_EQ(front.requests, 4u);
+  EXPECT_EQ(front.rejected, 1u);
+  EXPECT_EQ(front.errors, 3u);
+  EXPECT_EQ(front.l1_hits, 1u);
+  router.stop();
+  server.stop();
+}
+
+TEST(Metrics, TwoServersInOneProcessCountOnlyTheirOwnRequests) {
+  Server first(test_options());
+  Server second(test_options());
+  first.start();
+  second.start();
+  Client to_first("127.0.0.1", first.port());
+  Client to_second("127.0.0.1", second.port());
+  to_first.round_trip(R"({"pattern":"10;01"})");
+  to_second.round_trip(R"({"pattern":"110;011;111"})");
+  to_second.round_trip(R"({"pattern":"110;011;111"})");
+
+  EXPECT_EQ(first.stats().requests, 1u);
+  EXPECT_EQ(second.stats().requests, 2u);
+  const std::string first_body = scrape(to_first);
+  const std::string second_body = scrape(to_second);
+  EXPECT_EQ(sample(first_body, "ebmf_server_requests_total"), 1);
+  EXPECT_EQ(sample(second_body, "ebmf_server_requests_total"), 2);
+  EXPECT_EQ(sample(first_body, "ebmf_server_cache_hits_total"), 0);
+  EXPECT_EQ(sample(second_body, "ebmf_server_cache_hits_total"), 1);
+  // A backend's cache is the server tier's: no router series in its scrape.
+  EXPECT_EQ(first_body.find("router_l1"), std::string::npos);
+  second.stop();
+  first.stop();
+}
+
+TEST(Metrics, OneL1HitMovesTheL1HitSeriesByOne) {
+  Server server(test_options());
+  server.start();
+  router::RouterOptions options;
+  options.port = 0;
+  options.l1_mb = 8;
+  options.backends = {"127.0.0.1:" + std::to_string(server.port())};
+  router::Router router(options);
+  router.start();
+  Client client("127.0.0.1", router.port());
+  client.round_trip(R"({"pattern":"1110;0111;1111"})");
+  const long long before = sample(scrape(client), "ebmf_router_l1_hits_total");
+  EXPECT_EQ(Reply(client.round_trip(R"({"pattern":"0111;1110;1111"})"))
+                .telemetry("routed.l1"),
+            "hit");
+  EXPECT_EQ(sample(scrape(client), "ebmf_router_l1_hits_total"), before + 1);
+  router.stop();
   server.stop();
 }
 
