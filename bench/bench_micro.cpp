@@ -3,10 +3,12 @@
 // "current limit of atom array technology" and beyond).
 //
 // `bench_micro --json` skips google-benchmark and instead emits one JSON
-// line of SAT propagation-throughput numbers (the solver's hot-path
-// metric): a pigeonhole UNSAT proof and a large conflict-capped SMT
-// decision formula. tools/bench_compare.py diffs these lines against the
-// committed BENCH_sap.json baseline.
+// line of hot-path numbers: SAT propagation throughput (a pigeonhole UNSAT
+// proof and a large conflict-capped SMT decision formula) and the cost of
+// canon::canonicalize on the routed repeat families, with the count of
+// bases whose permutations split into more than one cache key.
+// tools/bench_compare.py diffs these lines against the committed
+// BENCH_sap.json baseline.
 
 #include <benchmark/benchmark.h>
 
@@ -20,9 +22,11 @@
 #include "core/row_packing.h"
 #include "core/trivial.h"
 #include "dlx/packing_dlx.h"
+#include "ftqc/patterns.h"
 #include "linalg/rank.h"
 #include "sat/cardinality.h"
 #include "sat/solver.h"
+#include "service/canon.h"
 #include "smt/label_formula.h"
 #include "support/bitvec.h"
 #include "support/rng.h"
@@ -258,22 +262,95 @@ SatRun best_of(Fn fn, int reps) {
   return best;
 }
 
+/// One base of the routed repeat workload; `kind` cycles its four families
+/// (logical 40x40, qLDPC 18x40, kron(logical, 3x3 checkerboard) and an
+/// 18x18 checkerboard with atom loss) at fixed sizes.
+ebmf::BinaryMatrix repeat_base(std::size_t kind, ebmf::Rng& rng) {
+  using namespace ebmf::ftqc;
+  switch (kind % 4) {
+    case 0: return logical_pattern(40, 40, 0.03, rng);
+    case 1: return qldpc_block_pattern(18, 40, 0.2, rng);
+    case 2:
+      return ebmf::BinaryMatrix::kron(logical_pattern(10, 10, 0.15, rng),
+                                      checkerboard_patch(3, 0));
+    default: {
+      ebmf::BinaryMatrix m = checkerboard_patch(18, 0);
+      for (std::size_t i = 0; i < 18; ++i)
+        for (std::size_t j = 0; j < 18; ++j)
+          if (m.test(i, j) && rng.below(8) == 0) m.set(i, j, false);
+      return m;
+    }
+  }
+}
+
+ebmf::BinaryMatrix permuted_copy(const ebmf::BinaryMatrix& m,
+                                 ebmf::Rng& rng) {
+  const auto row_perm = rng.permutation(m.rows());
+  const auto col_perm = rng.permutation(m.cols());
+  ebmf::BinaryMatrix out(m.rows(), m.cols());
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    for (std::size_t j = 0; j < m.cols(); ++j)
+      if (m.test(row_perm[i], col_perm[j])) out.set(i, j);
+  return out;
+}
+
+struct CanonRun {
+  double us_per_call = 0.0;
+  std::size_t key_splits = 0;  ///< Bases whose permutations got >1 key.
+};
+
+/// canonicalize over 64 repeat bases x 32 row/column permutations each,
+/// best of 3 timed sweeps.
+CanonRun run_canon() {
+  constexpr std::size_t kBases = 64;
+  constexpr std::size_t kPermutations = 32;
+  ebmf::Rng rng(16);
+  std::vector<ebmf::BinaryMatrix> pool;
+  for (std::size_t b = 0; b < kBases; ++b) {
+    ebmf::BinaryMatrix base;
+    do {
+      base = repeat_base(b, rng);
+    } while (base.is_zero());
+    for (std::size_t p = 0; p < kPermutations; ++p)
+      pool.push_back(permuted_copy(base, rng));
+  }
+  CanonRun run;
+  std::vector<ebmf::canon::CacheKey> keys(pool.size());
+  for (int rep = 0; rep < 3; ++rep) {
+    ebmf::Stopwatch sw;
+    for (std::size_t i = 0; i < pool.size(); ++i)
+      keys[i] = ebmf::canon::canonicalize(pool[i]).key;
+    const double us = sw.seconds() * 1e6 / static_cast<double>(pool.size());
+    if (rep == 0 || us < run.us_per_call) run.us_per_call = us;
+  }
+  for (std::size_t b = 0; b < kBases; ++b) {
+    const auto first =
+        keys.begin() + static_cast<std::ptrdiff_t>(b * kPermutations);
+    if (std::any_of(first, first + kPermutations,
+                    [&](const auto& key) { return key != *first; }))
+      ++run.key_splits;
+  }
+  return run;
+}
+
 int json_summary() {
   const SatRun sat = best_of(run_pigeonhole, 3);
   const SatRun smt = best_of(run_large_smt, 3);
+  const CanonRun canon = run_canon();
   std::printf(
       "{\"bench\":\"micro\",\"summary\":true,\"hardware_threads\":%u,"
       "\"sat\":{\"propagations\":%llu,\"conflicts\":%llu,\"seconds\":%.4f,"
       "\"propagations_per_sec\":%.0f},"
       "\"smt_large\":{\"propagations\":%llu,\"conflicts\":%llu,"
-      "\"seconds\":%.4f,\"propagations_per_sec\":%.0f}}\n",
+      "\"seconds\":%.4f,\"propagations_per_sec\":%.0f},"
+      "\"canon\":{\"us_per_call\":%.3f,\"key_splits\":%zu}}\n",
       std::thread::hardware_concurrency(),
       static_cast<unsigned long long>(sat.propagations),
       static_cast<unsigned long long>(sat.conflicts), sat.seconds,
       sat.propagations_per_sec(),
       static_cast<unsigned long long>(smt.propagations),
       static_cast<unsigned long long>(smt.conflicts), smt.seconds,
-      smt.propagations_per_sec());
+      smt.propagations_per_sec(), canon.us_per_call, canon.key_splits);
   return 0;
 }
 

@@ -63,7 +63,11 @@ class LabelSearch {
     return static_cast<bool>(validate_partition(*m_, p));
   }
 
+  /// Label cells e.. given `used` labels. An abort is sticky: once the
+  /// budget runs out, every open frame returns at once instead of trying
+  /// its next label.
   bool assign(std::size_t e, std::size_t used) {
+    if (aborted_) return false;
     ++nodes_;
     if ((budget_->max_nodes != 0 && nodes_ > budget_->max_nodes) ||
         ((nodes_ & 0x3ff) == 0 && budget_->exhausted())) {
@@ -80,6 +84,7 @@ class LabelSearch {
       if (!compatible(e, t)) continue;
       labels_[e] = t;
       if (assign(e + 1, used)) return true;
+      if (aborted_) return false;
     }
     if (used < bound_) {
       labels_[e] = used;

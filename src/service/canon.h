@@ -9,32 +9,41 @@
 /// duplicate collapse, and connected-component decomposition, so all those
 /// variants share one canonical representative:
 ///
-///  1. **Dedup** — collapse duplicate rows/columns and drop zero ones
-///     (reduce_duplicates), recording the groups.
+///  1. **Dedup** — collapse duplicate rows/columns and drop zero ones,
+///     recording the groups (hash each row's words into a table of groups
+///     of equal rows, then the same for columns).
 ///  2. **Split** — decompose into connected components of the bipartite
-///     row/column graph (split_components).
-///  3. **Sort** — inside each component, first compute permutation-
-///     invariant row/column colors by Weisfeiler–Leman-style refinement on
-///     the bipartite row/column graph (a line's color hashes the multiset
-///     of its neighbours' colors, iterated), then alternately sort rows and
-///     columns by (color desc, content desc) until a fixpoint (capped).
-///     When refinement individualizes the lines — almost surely for random
-///     patterns — the order is fully permutation-invariant; symmetric
-///     orbits fall back to the content tie-break.
-///  4. **Order** — sort the components themselves by shape and content and
-///     reassemble block-diagonally into one canonical pattern.
+///     row/column graph (word-parallel breadth-first search over row and
+///     column masks).
+///  3. **Refine** — inside each component, compute the coarsest
+///     equitable partition of rows and columns (as in nauty/Traces): a
+///     line's signature is popcount(line AND cell mask) for every cell of
+///     the other side, and cells split by signature until nothing changes.
+///     Cells are numbered by (old cell, signature), so the numbering depends
+///     only on the isomorphism type. When refinement leaves a cell of
+///     several lines (symmetric patterns), each line of the first smallest
+///     such cell is tried as a singleton, refined, and the choice with the
+///     greatest quotient matrix is kept, until every cell is a singleton.
+///     The cells are then the canonical row and column order.
+///  4. **Order** — sort the components themselves by weight, shape and
+///     content and reassemble block-diagonally into one canonical pattern.
 ///
-/// The iterated sort is a *sound but incomplete* canonical form: two
-/// patterns with equal canonical matrices are always row/column-permutation
-/// equivalent up to duplicates (every step is invertible), but graph
-/// isomorphism being hard, some equivalent pairs may land on different
-/// fixpoints and merely miss the cache. Lookups therefore compare the full
-/// canonical pattern, never just the 128-bit key, so a hash or fixpoint
-/// collision can never serve a wrong result.
+/// Every step runs on flat row-major word arrays (one buffer per matrix
+/// plus its transpose) from a reusable per-thread workspace.
 ///
-/// Every step's permutation record is kept in Canonical, and lift() maps a
-/// partition of the canonical pattern back to a valid partition of the
-/// original — the certificate a cache hit replays.
+/// This is a *sound but incomplete* canonical form: two patterns with equal
+/// canonical matrices are always row/column-permutation equivalent up to
+/// duplicates (every step is invertible), but ties between individualized
+/// lines that are not automorphic are taken in input order (as is every
+/// tie once a per-call work budget is spent, on huge inputs), so some
+/// equivalent pairs may land on different forms and merely miss the cache.
+/// Lookups therefore compare the full canonical pattern, never just the
+/// 128-bit key, so a hash collision can never serve a wrong result.
+///
+/// Canonical keeps, for every canonical row and column, the original lines
+/// it stands for, and lift() maps a partition of the canonical pattern back
+/// to a valid partition of the original through that one map — the
+/// certificate a cache hit replays.
 
 #include <cstdint>
 #include <string>
@@ -42,7 +51,6 @@
 
 #include "core/matrix.h"
 #include "core/partition.h"
-#include "core/preprocess.h"
 
 namespace ebmf::canon {
 
@@ -74,22 +82,27 @@ struct CacheKeyHash {
   }
 };
 
-/// A pattern's canonical form plus the invertible record needed to lift a
-/// partition of the canonical pattern back onto the original matrix.
+/// A pattern's canonical form plus the record needed to lift a partition
+/// of the canonical pattern back onto the original matrix.
 struct Canonical {
-  BinaryMatrix pattern;  ///< Deduped, sorted, block-diagonal canonical form.
+  BinaryMatrix pattern;  ///< Deduped, ordered, block-diagonal canonical form.
   CacheKey key;          ///< Content hash of `pattern`.
 
+  /// The shape of one connected component's diagonal block of `pattern`.
+  struct Block {
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+  };
+  std::vector<Block> components;  ///< In diagonal order.
+
   // ---- lift record (canonical space -> original space) -----------------
-  DuplicateReduction reduction;       ///< Original -> reduced mapping.
-  std::vector<Component> components;  ///< Of `reduction.reduced`, canonical order.
-  /// row_order[c][r] = component-local row shown at canonical block row r.
-  std::vector<std::vector<std::size_t>> row_order;
-  /// col_order[c][j] = component-local column shown at canonical block col j.
-  std::vector<std::vector<std::size_t>> col_order;
-  std::vector<std::size_t> row_offset;  ///< Block row start in `pattern`.
-  std::vector<std::size_t> col_offset;  ///< Block col start in `pattern`.
-  std::size_t sort_passes = 0;  ///< Row+col sort passes until fixpoint.
+  /// Canonical row i stands for the original rows
+  /// row_source[row_start[i] .. row_start[i + 1]) (i and its duplicates).
+  std::vector<std::size_t> row_start;
+  std::vector<std::size_t> row_source;
+  /// The same for canonical columns.
+  std::vector<std::size_t> col_start;
+  std::vector<std::size_t> col_source;
 
   /// Shape of the matrix canonicalize() was called on.
   std::size_t original_rows = 0;

@@ -1,10 +1,13 @@
 // Tests for ebmf::canon: lift round-trips (property-style over benchgen
 // matrices), permutation-invariant keys for the workloads the cache serves,
-// and determinism of the canonical form.
+// determinism and idempotence of the canonical form, and agreement of
+// concurrent calls (each thread canonicalizes in its own workspace).
 
 #include "service/canon.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #include "benchgen/generators.h"
 #include "engine/engine.h"
@@ -23,6 +26,50 @@ BinaryMatrix permuted(const BinaryMatrix& m,
     for (std::size_t j = 0; j < m.cols(); ++j)
       if (m.test(row_perm[i], col_perm[j])) out.set(i, j);
   return out;
+}
+
+/// The per-patch pattern the routed repeat workload serves most: an 18x18
+/// checkerboard with atom loss (each addressed site empty w.p. 1/8).
+BinaryMatrix lossy_checkerboard(Rng& rng) {
+  BinaryMatrix m = ftqc::checkerboard_patch(18, 0);
+  for (std::size_t i = 0; i < 18; ++i)
+    for (std::size_t j = 0; j < 18; ++j)
+      if (m.test(i, j) && rng.below(8) == 0) m.set(i, j, false);
+  return m;
+}
+
+/// One base of the routed repeat workload's four families, by `kind`.
+BinaryMatrix repeat_base(std::size_t kind, Rng& rng) {
+  switch (kind % 4) {
+    case 0: return ftqc::logical_pattern(40, 40, 0.03, rng);
+    case 1: return ftqc::qldpc_block_pattern(18, 40, 0.2, rng);
+    case 2:
+      return BinaryMatrix::kron(ftqc::logical_pattern(10, 10, 0.15, rng),
+                                ftqc::checkerboard_patch(3, 0));
+    default: return lossy_checkerboard(rng);
+  }
+}
+
+BinaryMatrix randomly_permuted(const BinaryMatrix& m, Rng& rng) {
+  return permuted(m, rng.permutation(m.rows()), rng.permutation(m.cols()));
+}
+
+/// How many of 64 bases drawn by `draw` get more than one key over 32
+/// random row/column permutations each.
+template <typename Draw>
+int bases_with_split_keys(Draw draw, Rng& rng) {
+  int split = 0;
+  for (int base = 0; base < 64; ++base) {
+    const BinaryMatrix m = draw(rng);
+    const CacheKey key = canonicalize(m).key;
+    for (int p = 0; p < 32; ++p) {
+      if (canonicalize(randomly_permuted(m, rng)).key != key) {
+        ++split;
+        break;
+      }
+    }
+  }
+  return split;
 }
 
 TEST(Canon, CanonicalPatternPreservesBinaryRankWitness) {
@@ -71,6 +118,68 @@ TEST(Canon, KeyInvariantUnderRowColPermutation) {
     EXPECT_EQ(ca.key, cb.key) << "trial " << trial;
     EXPECT_EQ(ca.pattern, cb.pattern) << "trial " << trial;
   }
+}
+
+TEST(Canon, ServedFamiliesGetOneKeyPerBase) {
+  // Lossy checkerboards are the symmetric case: equitable refinement
+  // leaves cells of automorphic lines that only individualization orders.
+  Rng rng(16);
+  EXPECT_EQ(bases_with_split_keys(lossy_checkerboard, rng), 0);
+  EXPECT_EQ(bases_with_split_keys(
+                [](Rng& r) { return ftqc::logical_pattern(40, 40, 0.03, r); },
+                rng),
+            0);
+}
+
+TEST(Canon, CanonicalPatternIsAFixpoint) {
+  // The replica put handler refuses a pattern that does not canonicalize
+  // to itself, so every canonical pattern must be a fixpoint.
+  Rng rng(17);
+  std::vector<BinaryMatrix> inputs;
+  for (std::size_t b = 0; b < 64; ++b)
+    inputs.push_back(randomly_permuted(repeat_base(b, rng), rng));
+  for (int trial = 0; trial < 64; ++trial) {
+    const std::size_t m = 1 + rng.below(24);
+    const std::size_t n = 1 + rng.below(24);
+    inputs.push_back(benchgen::random_matrix(
+        m, n, 0.05 + 0.9 * static_cast<double>(trial % 8) / 8.0, rng));
+  }
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Canonical c = canonicalize(inputs[i]);
+    const Canonical again = canonicalize(c.pattern);
+    EXPECT_EQ(again.pattern, c.pattern) << "input " << i;
+    EXPECT_EQ(again.key, c.key) << "input " << i;
+  }
+}
+
+TEST(Canon, ConcurrentCallsAgree) {
+  Rng rng(18);
+  std::vector<BinaryMatrix> pool;
+  for (std::size_t b = 0; b < 64; ++b)
+    pool.push_back(randomly_permuted(repeat_base(b, rng), rng));
+  for (int trial = 0; trial < 32; ++trial)
+    pool.push_back(benchgen::random_matrix(4 + rng.below(40),
+                                           4 + rng.below(40), 0.3, rng));
+  std::vector<Canonical> serial;
+  for (const BinaryMatrix& m : pool) serial.push_back(canonicalize(m));
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different slot so the calls interleave.
+      for (std::size_t k = 0; k < pool.size(); ++k) {
+        const std::size_t i = (k + t * pool.size() / kThreads) % pool.size();
+        const Canonical c = canonicalize(pool[i]);
+        if (c.key != serial[i].key || !(c.pattern == serial[i].pattern))
+          ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t)
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 TEST(Canon, FtqcPatchVariantsShareOneCanonicalForm) {

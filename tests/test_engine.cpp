@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "benchgen/generators.h"
 #include "benchgen/suites.h"
 #include "core/bounds.h"
 #include "support/rng.h"
+#include "support/stopwatch.h"
 
 namespace ebmf::engine {
 namespace {
@@ -165,6 +168,22 @@ TEST(Budget, ExpiredDeadlineStillYieldsValidAnytimePartition) {
     EXPECT_GE(report.depth(), report.lower_bound) << name;
     EXPECT_FALSE(report.partition.empty()) << name;
   }
+}
+
+TEST(Budget, BruteStopsAtItsDeadline) {
+  // A budget abort deep in the label search must unwind the whole search,
+  // not just the frame that noticed it, so a hopeless instance returns
+  // near its deadline with the anytime fallback partition.
+  Rng rng(30);
+  const BinaryMatrix m = BinaryMatrix::random(30, 30, 0.3, rng);
+  const Engine engine;
+  auto request = SolveRequest::dense(m, "brute");
+  constexpr double kBudget = 0.5;
+  request.budget = Budget::after(kBudget);
+  const Stopwatch wall;
+  const auto report = engine.solve(request);
+  EXPECT_LE(wall.seconds(), kBudget + std::max(0.05, 0.1 * kBudget));
+  EXPECT_TRUE(validate_partition(m, report.partition).ok);
 }
 
 TEST(Budget, CancellationFlagIsSharedAcrossCopies) {

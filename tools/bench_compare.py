@@ -18,6 +18,10 @@ Regenerate the baseline after an intentional perf change:
 
 Checked metrics:
   * micro: sat / smt_large propagations per second (lower = regression)
+  * micro: canon.us_per_call, the cost of one canonicalize on the routed
+    repeat families (higher = regression), and canon.key_splits, the bases
+    whose permutations got more than one cache key (must not exceed the
+    baseline; no tolerance applies)
   * table1: total wall-clock and per-suite wall-clock (higher = regression;
     suites faster than --floor seconds are skipped as noise)
   * table1: anytime suites are gated on solution quality, not throughput —
@@ -90,6 +94,18 @@ def check_seconds(failures, label, base, current, tolerance, floor_seconds):
     if current > ceiling:
         failures.append(f"{label} slowed to {current:.3f}s "
                         f"(baseline {base:.3f}s)")
+
+
+def check_cost_us(failures, label, base, current, tolerance):
+    """A per-call cost (micros) must not rise more than `tolerance` above
+    baseline."""
+    ceiling = base * (1.0 + tolerance)
+    status = "ok" if current <= ceiling else "REGRESSION"
+    print(f"  {label}: {current:.2f}us vs baseline {base:.2f}us "
+          f"({current / base if base > 0 else 0:.2f}x) [{status}]")
+    if current > ceiling:
+        failures.append(f"{label} rose to {current:.2f}us "
+                        f"(baseline {base:.2f}us)")
 
 
 def check_gap(failures, label, base, current, tolerance):
@@ -254,12 +270,27 @@ def main():
 
     base_micro, cur_micro = baseline.get("micro"), current.get("micro")
     if base_micro and cur_micro:
-        print("micro (propagation throughput):")
+        print("micro (propagation throughput, canonicalize cost):")
         for key in ("sat", "smt_large"):
             check_throughput(failures, f"micro.{key}",
                              base_micro[key]["propagations_per_sec"],
                              cur_micro[key]["propagations_per_sec"],
                              args.tolerance)
+        base_canon, cur_canon = base_micro.get("canon"), cur_micro.get("canon")
+        if base_canon and cur_canon:
+            check_cost_us(failures, "micro.canon.us_per_call",
+                          base_canon["us_per_call"], cur_canon["us_per_call"],
+                          args.tolerance)
+            splits, base_splits = (cur_canon["key_splits"],
+                                   base_canon["key_splits"])
+            status = "ok" if splits <= base_splits else "REGRESSION"
+            print(f"  micro.canon.key_splits: {splits} vs baseline "
+                  f"{base_splits} [{status}]")
+            if splits > base_splits:
+                failures.append(f"micro.canon.key_splits rose to {splits} "
+                                f"(baseline {base_splits})")
+        elif base_canon:
+            failures.append("no canon micro in the current run")
     elif base_micro:
         failures.append("no micro summary in the current run")
 
