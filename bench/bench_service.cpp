@@ -18,9 +18,9 @@
 // With --connections=N the family sweep is replaced by the connection-scale
 // suite: an N-connection mixed-protocol storm (half line, half binary
 // frames) that pipelines requests per connection and verifies zero lost and
-// zero reordered replies, plus — when run in-process — a router→backend
-// JSON-vs-binary A/B on a repeat-heavy family, measuring the throughput the
-// negotiated binary fast path buys over the legacy JSON line hop.
+// zero reordered replies, plus — when run in-process — the router→backend
+// hop's throughput on a repeat-heavy family (every request a backend cache
+// hit over the binary frame wire, L1 off).
 
 #include <atomic>
 #include <chrono>
@@ -288,16 +288,15 @@ int run_connections_suite(const ebmf::bench::Options& opt,
   std::printf("storm: %.3fs wall, %.0f replies/s\n\n", storm_seconds,
               storm_rps);
 
-  // The JSON-vs-binary A/B needs to flip the router's backend wire, so it
-  // only runs against the in-process fleet.
-  double json_rps = 0.0;
+  // The hop measurement needs its own L1-off router, so it only runs
+  // against the in-process fleet.
   double binary_rps = 0.0;
   std::uint64_t ab_errors = 0;
   if (connect.empty() && ab_requests > 0) {
     // A repeat-heavy family: every request is a fresh row/col permutation
     // of one base pattern, so after one cold solve the backend answers
-    // from its cache and the hop cost — JSON render/parse + canonicalize
-    // + lift versus the binary canonical-key fast path — dominates.
+    // from its cache and the hop cost — the binary canonical-key frames,
+    // the backend's cache lookup, the router's lift — dominates.
     Rng rng(opt.seed);
     const BinaryMatrix base =
         ebmf::ftqc::logical_pattern(40, 40, 0.06, rng);
@@ -311,38 +310,29 @@ int run_connections_suite(const ebmf::bench::Options& opt,
       wire.id = static_cast<std::int64_t>(i);
       lines.push_back(ebmf::io::wire_request_json(wire));
     }
-    const auto measure = [&](bool binary_backend) {
-      ebmf::router::RouterOptions ro;
-      ro.port = 0;
-      ro.l1_mb = 0;
-      ro.max_inflight = 4096;
-      ro.reply_timeout_seconds = 30.0;
-      ro.binary_backend = binary_backend;
-      ro.backends.push_back("127.0.0.1:" +
-                            std::to_string(backend->port()));
-      ebmf::router::Router ab_router(ro);
-      ab_router.start();
-      ebmf::service::Client client("127.0.0.1", ab_router.port());
-      // One untimed request pays the cold solve (and, on the binary
-      // side, the pool's upgrade negotiation) outside the clock.
-      (void)client.round_trip(lines[0]);
-      const double seconds = drive_pipelined(client, lines, &ab_errors);
-      ab_router.stop();
-      return seconds > 0 ? static_cast<double>(lines.size()) / seconds : 0;
-    };
-    json_rps = measure(false);
-    binary_rps = measure(true);
-    const double speedup = json_rps > 0 ? binary_rps / json_rps : 0.0;
-    std::printf("A/B over %zu permuted repeats of logical 40x40 occ=0.06 "
-                "(router->backend hop):\n",
+    ebmf::router::RouterOptions ro;
+    ro.port = 0;
+    ro.l1_mb = 0;
+    ro.max_inflight = 4096;
+    ro.reply_timeout_seconds = 30.0;
+    ro.backends.push_back("127.0.0.1:" + std::to_string(backend->port()));
+    ebmf::router::Router hop_router(ro);
+    hop_router.start();
+    ebmf::service::Client client("127.0.0.1", hop_router.port());
+    // One untimed request pays the cold solve outside the clock.
+    (void)client.round_trip(lines[0]);
+    const double seconds = drive_pipelined(client, lines, &ab_errors);
+    hop_router.stop();
+    binary_rps =
+        seconds > 0 ? static_cast<double>(lines.size()) / seconds : 0.0;
+    std::printf("router->backend hop over %zu permuted repeats of logical "
+                "40x40 occ=0.06:\n",
                 ab_requests);
-    std::printf("  JSON line backend wire:    %10.0f req/s\n", json_rps);
-    std::printf("  binary frame backend wire: %10.0f req/s\n", binary_rps);
-    std::printf("  binary speedup: %.2fx (%llu errors)\n", speedup,
-                static_cast<unsigned long long>(ab_errors));
+    std::printf("  binary frame backend wire: %10.0f req/s (%llu errors)\n",
+                binary_rps, static_cast<unsigned long long>(ab_errors));
   } else if (!connect.empty()) {
-    std::printf("(A/B skipped: --connect targets an external fleet whose "
-                "backend wire is fixed)\n");
+    std::printf("(hop measurement skipped: --connect targets an external "
+                "fleet)\n");
   }
 
   if (opt.json) {
@@ -360,12 +350,10 @@ int run_connections_suite(const ebmf::bench::Options& opt,
                 static_cast<unsigned long long>(
                     tally.failed_connections.load()),
                 storm_seconds, storm_rps);
-    if (json_rps > 0 || binary_rps > 0)
-      std::printf(",\"ab\":{\"requests\":%zu,\"json_rps\":%.0f,"
-                  "\"binary_rps\":%.0f,\"binary_speedup\":%.3f,"
+    if (binary_rps > 0)
+      std::printf(",\"ab\":{\"requests\":%zu,\"binary_rps\":%.0f,"
                   "\"errors\":%llu}",
-                  ab_requests, json_rps, binary_rps,
-                  json_rps > 0 ? binary_rps / json_rps : 0.0,
+                  ab_requests, binary_rps,
                   static_cast<unsigned long long>(ab_errors));
     std::printf("}\n");
   }

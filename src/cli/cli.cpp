@@ -660,7 +660,6 @@ int cmd_route(const Args& args, std::ostream& out, std::ostream& err) {
       flags.num("idle-timeout", options.idle_timeout_seconds);
   options.pool_connections = flags.count("pool", 1);
   options.reply_timeout_seconds = flags.num("timeout", 30.0);
-  options.binary_backend = !args.has("no-binary");
   options.dynamic = args.has("dynamic");
   // --peers: fellow routers of an HA fleet (comma-separated, this router
   // excluded). Non-empty turns on leader-lease arbitration + state sync.
@@ -692,7 +691,7 @@ int cmd_route(const Args& args, std::ostream& out, std::ostream& err) {
     err << "usage: ebmf route <host:port>... [--backends=H:P,H:P] "
            "[--listen=P] [--host=ADDR] [--l1-mb=MB] [--cache-file=PATH] "
            "[--max-inflight=N] [--max-batch=N] [--io-threads=N] "
-           "[--io-workers=N] [--idle-timeout=S] [--no-binary] "
+           "[--io-workers=N] [--idle-timeout=S] "
            "[--pool=N] [--timeout=S] "
            "[--dynamic] [--replicas=R] [--promote-after=N] "
            "[--heartbeat-ms=N] [--grace-ms=N] [--peers=H:P,H:P] "

@@ -117,10 +117,13 @@ WireRequest parse_wire_request(const std::string& line) {
     return wire;
   }
   if (op == "watch") {
-    // Live-progress subscription: "id" names the in-flight request to
-    // follow (the correlation id its solve line carried).
+    // Live-progress subscription: "of" (default: "id") names the
+    // in-flight request to follow (the correlation id its solve line
+    // carried); the stream's lines carry "id".
     wire.op = WireOp::Watch;
     if (wire.id < 0) fail("'watch' needs the 'id' of an in-flight request");
+    wire.watch_of = static_cast<std::int64_t>(number_field(
+        document, "of", static_cast<double>(wire.id), 0.0, 9e15));
     return wire;
   }
   if (op == "events") {
@@ -339,6 +342,9 @@ std::string wire_request_json(const WireRequest& wire) {
     out << "\"op\":\"" << op << "\"";
     if (wire.op == WireOp::Metrics && !wire.scope.empty())
       out << ",\"scope\":\"" << json::escape(wire.scope) << "\"";
+    if (wire.op == WireOp::Watch && wire.watch_of >= 0 &&
+        wire.watch_of != wire.id)
+      out << ",\"of\":" << wire.watch_of;
     out << "}";
     return out.str();
   }

@@ -67,7 +67,9 @@ namespace ebmf::io {
 /// exposition of every backend and peer — obs/federate.h),
 /// `{"op":"watch","id":N}` subscribes the connection to the live progress
 /// frames of the in-flight request with that correlation id (one JSONL
-/// frame per publish, then a final `{"done":true}` line), and
+/// frame per publish, then a final `{"done":true}` line; with
+/// `"of":R` the stream follows request R and its lines carry id N — how
+/// the router watches over a pooled backend connection), and
 /// `{"op":"events"}` snapshots the flight recorder (obs/events.h).
 enum class WireOp { Solve, Stats, Join, Leave, Heartbeat, Put, Trace, Traces,
                     Metrics, Watch, Events, PeerHello, PeerLease, PeerSync };
@@ -95,6 +97,9 @@ struct WireRequest {
   /// (absent when < 0). The router assigns these to match pipelined
   /// backend replies to their requests; clients may use them too.
   std::int64_t id = -1;
+  /// Watch: the correlation id of the in-flight request to follow (`"of"`;
+  /// the parser defaults it to `id`).
+  std::int64_t watch_of = -1;
   /// The requested deadline in seconds (0 = none). Mirrored into
   /// request.budget.deadline by the parser; kept here as well because a
   /// Deadline is an absolute time point and cannot be re-serialized.

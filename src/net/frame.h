@@ -29,6 +29,9 @@
 
 namespace ebmf::net {
 
+/// Which framing a message arrived under (and its reply should use).
+enum class WireMode { Line, Binary };
+
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 inline constexpr std::uint8_t kFrameVersion = 1;
 

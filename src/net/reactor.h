@@ -40,12 +40,10 @@
 #include <thread>
 #include <vector>
 
+#include "net/frame.h"
 #include "service/net.h"
 
 namespace ebmf::net {
-
-/// Which framing a message arrived under (and its reply should use).
-enum class WireMode { Line, Binary };
 
 /// One complete inbound message.
 struct Message {

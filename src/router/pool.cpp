@@ -1,6 +1,6 @@
-// Backend connection pool: pipelined submits, binary-frame upgrade
-// negotiation, id-matched reply dispatch, break detection, and
-// exponential-backoff reconnect.
+// Backend connection pool: upgraded (frame-protocol) connections,
+// pipelined submits, id-matched reply dispatch, the stream lane, break
+// detection, and exponential-backoff reconnect.
 
 #include "router/pool.h"
 
@@ -65,7 +65,6 @@ namespace {
 struct Conn {
   int fd = -1;
   std::atomic<bool> open{false};
-  bool binary = false;  ///< Speaks frames (set before `open`, fixed after).
   /// Reader's last store before exiting; maintain() joins on it.
   std::atomic<bool> reader_done{true};
   std::thread reader;
@@ -75,21 +74,18 @@ struct Conn {
 };
 
 /// Negotiate the frame protocol on a fresh socket: send the upgrade line,
-/// wait (bounded) for the JSON ack. 1 = upgraded, 0 = the backend declined
-/// (an old build answering with an error keeps a perfectly good line
-/// connection), -1 = the socket died or the window expired (caller closes
-/// and backs off — a wedged negotiation must not be mistaken for a
-/// decline).
-int negotiate_upgrade(int fd) {
+/// wait (bounded) for the JSON ack. False when the backend declined, the
+/// socket died, or the window expired — all one failed connect.
+bool negotiate_upgrade(int fd) {
   net::LineBuffer buffer;
   std::string line;
-  if (!net::write_line(fd, "{\"op\":\"upgrade\"}") ||
-      net::read_line(fd, buffer, line, 2.0) != net::Read::Ok)
-    return -1;
-  return line.find("\"upgraded\":true") != std::string::npos ? 1 : 0;
+  return net::write_line(fd, "{\"op\":\"upgrade\"}") &&
+         net::read_line(fd, buffer, line, 2.0) == net::Read::Ok &&
+         line.find("\"upgraded\":true") != std::string::npos;
 }
 
-/// Complete one pending reply.
+/// Deliver one reply: complete (and unregister) a one-shot entry, or hand
+/// it to a stream, which stays registered until it says it is done.
 void complete_pending(Conn& conn, std::uint64_t id, std::uint8_t frame_type,
                       std::string&& body) {
   PendingPtr pending;
@@ -98,7 +94,15 @@ void complete_pending(Conn& conn, std::uint64_t id, std::uint8_t frame_type,
     const auto it = conn.pending.find(id);
     if (it == conn.pending.end()) return;  // late reply, forgotten
     pending = it->second;
-    conn.pending.erase(it);
+    if (!pending->stream) conn.pending.erase(it);
+  }
+  if (pending->stream) {
+    if (pending->stream(&body)) return;
+    std::lock_guard<std::mutex> lock(conn.pending_mutex);
+    const auto it = conn.pending.find(id);
+    if (it != conn.pending.end() && it->second == pending)
+      conn.pending.erase(it);
+    return;
   }
   std::lock_guard<std::mutex> lock(pending->mutex);
   pending->frame_type = frame_type;
@@ -117,14 +121,10 @@ struct BackendPool::Impl {
 
   /// Structural lock: connection selection, reconnects, shutdown.
   mutable std::mutex mutex;
+  /// `options.connections` pipelined connections, then the stream lane.
   std::vector<std::unique_ptr<Conn>> conns;
   std::size_t cursor = 0;
   std::atomic<bool> shutting_down{false};
-
-  /// The pool's negotiated wire mode: -1 undecided (no connection has
-  /// completed negotiation yet), 0 line-JSON, 1 binary frames. Fixed by
-  /// the first decided negotiation (see the header comment).
-  std::atomic<int> binary_mode{-1};
 
   double backoff_ms;
   Clock::time_point next_attempt = Clock::now();
@@ -150,8 +150,7 @@ struct BackendPool::Impl {
         failures(registry.counter("router.pool." + endpoint_text +
                                   ".failures")) {
     if (options.connections == 0) options.connections = 1;
-    if (!options.negotiate_binary) binary_mode.store(0);
-    for (std::size_t i = 0; i < options.connections; ++i)
+    for (std::size_t i = 0; i <= options.connections; ++i)
       conns.push_back(std::make_unique<Conn>());
   }
 
@@ -166,7 +165,8 @@ struct BackendPool::Impl {
   }
 
   /// Fail every reply pending on `conn` (the connection broke): waiting
-  /// router threads wake with Broken and fail over.
+  /// router threads wake with Broken and fail over; streams hear the
+  /// break once.
   void break_pending(Conn& conn) {
     std::unordered_map<std::uint64_t, PendingPtr> orphans;
     {
@@ -174,37 +174,21 @@ struct BackendPool::Impl {
       orphans.swap(conn.pending);
     }
     for (auto& [id, pending] : orphans) {
+      if (pending->stream) {
+        pending->stream(nullptr);
+        continue;
+      }
       std::lock_guard<std::mutex> lock(pending->mutex);
       pending->broken = true;
       pending->cv.notify_all();
     }
   }
 
-  /// Line-mode reader body: frame response lines, match ids, dispatch.
-  void read_lines(Conn& conn) {
-    net::LineBuffer buffer;
-    char chunk[16384];
-    const int fd = conn.fd;
-    while (true) {
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) break;
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      std::string line;
-      while (buffer.pop(line)) {
-        std::uint64_t id = 0;
-        if (!net::strip_id_prefix(line, id)) continue;  // unmatched noise
-        complete_pending(conn, id, 0, std::move(line));
-      }
-    }
-  }
-
-  /// Binary-mode reader body: decode frames, match ids, dispatch. Type-4
-  /// JSON frames are unwrapped to the exact shape a line reply has
-  /// (frame_type 0, id prefix stripped), so the router's non-solve paths
-  /// never notice which protocol carried them; type-2/3 payloads pass
-  /// through raw for io/binary_io.h. A malformed frame is terminal — the
-  /// stream has lost sync, so the connection breaks and reconnects.
+  /// Reader body: decode frames, match ids, dispatch. Type-4 JSON frames
+  /// are unwrapped to their line (frame_type 0, id prefix stripped);
+  /// type-2/3 payloads pass through raw for io/binary_io.h. A malformed
+  /// frame is terminal — the stream has lost sync, so the connection
+  /// breaks and reconnects.
   void read_frames(Conn& conn) {
     // The bound mirrors the serve tier's default frame cap, not the
     // router's max_line_bytes: replies (reports + partitions) can outgrow
@@ -236,14 +220,10 @@ struct BackendPool::Impl {
     }
   }
 
-  /// The reader thread: run the mode-appropriate body, then fail all
-  /// pending and schedule the reconnect when the socket breaks (or
-  /// shutdown() wakes it).
+  /// The reader thread: read frames, then fail all pending and schedule
+  /// the reconnect when the socket breaks (or shutdown() wakes it).
   void reader_loop(Conn& conn) {
-    if (conn.binary)
-      read_frames(conn);
-    else
-      read_lines(conn);
+    read_frames(conn);
     conn.open.store(false, std::memory_order_relaxed);
     break_pending(conn);
     if (!shutting_down.load(std::memory_order_relaxed)) {
@@ -254,13 +234,19 @@ struct BackendPool::Impl {
     conn.reader_done.store(true, std::memory_order_release);
   }
 
-  /// Pick a live connection round-robin; nullptr when the backend is down.
-  Conn* pick_open() {
+  /// Pick a live pipelined connection round-robin, or the stream lane;
+  /// nullptr when it is down.
+  Conn* pick_open(bool stream) {
     std::lock_guard<std::mutex> lock(mutex);
-    for (std::size_t step = 0; step < conns.size(); ++step) {
-      Conn& conn = *conns[(cursor + step) % conns.size()];
+    if (stream) {
+      Conn& lane = *conns.back();
+      return lane.open.load(std::memory_order_relaxed) ? &lane : nullptr;
+    }
+    const std::size_t n = options.connections;
+    for (std::size_t step = 0; step < n; ++step) {
+      Conn& conn = *conns[(cursor + step) % n];
       if (conn.open.load(std::memory_order_relaxed)) {
-        cursor = (cursor + step + 1) % conns.size();
+        cursor = (cursor + step + 1) % n;
         return &conn;
       }
     }
@@ -270,7 +256,6 @@ struct BackendPool::Impl {
   void maintain() {
     if (shutting_down.load(std::memory_order_relaxed)) return;
     std::lock_guard<std::mutex> lock(mutex);
-    bool attempted = false;
     for (auto& conn_ptr : conns) {
       Conn& conn = *conn_ptr;
       if (conn.open.load(std::memory_order_relaxed)) continue;
@@ -281,9 +266,10 @@ struct BackendPool::Impl {
         ::close(conn.fd);
         conn.fd = -1;
       }
-      // One connect attempt per maintain() call, rate-limited by backoff.
-      if (attempted || Clock::now() < next_attempt) continue;
-      attempted = true;
+      // Connects are rate-limited by backoff: a failure arms the window,
+      // so at most one failed attempt happens per maintain() call, while a
+      // healthy backend gets every closed connection back at once.
+      if (Clock::now() < next_attempt) continue;
       int fd = -1;
       try {
         fd = net::tcp_connect(host, port);
@@ -291,31 +277,12 @@ struct BackendPool::Impl {
         next_attempt = Clock::now() + backoff_step();
         continue;
       }
-      // Wire-mode negotiation. A pool already fixed at line mode (declined
-      // once, or --no-binary) skips the round-trip; otherwise the fresh
-      // socket negotiates and the first decided outcome becomes sticky.
-      int wire = binary_mode.load(std::memory_order_relaxed);
-      if (wire != 0) {
-        const int negotiated = negotiate_upgrade(fd);
-        if (negotiated < 0) {  // died or wedged mid-negotiation
-          ::close(fd);
-          next_attempt = Clock::now() + backoff_step();
-          continue;
-        }
-        int undecided = -1;
-        binary_mode.compare_exchange_strong(undecided, negotiated);
-        wire = binary_mode.load(std::memory_order_relaxed);
-        if (wire != negotiated) {
-          // The backend at this endpoint now disagrees with the pool's
-          // fixed framing (swapped for an incompatible build): refuse the
-          // connection rather than let one pool speak two protocols.
-          ::close(fd);
-          next_attempt = Clock::now() + backoff_step();
-          continue;
-        }
+      if (!negotiate_upgrade(fd)) {  // declined, died, or wedged
+        ::close(fd);
+        next_attempt = Clock::now() + backoff_step();
+        continue;
       }
       backoff_ms = options.backoff_base_ms;  // healthy again
-      conn.binary = wire == 1;
       {
         // The fd swap happens under the write lock: a submitter that
         // picked this conn just before the break re-checks `open` under
@@ -368,24 +335,17 @@ bool BackendPool::alive() const noexcept {
   return false;
 }
 
-bool BackendPool::binary() const noexcept {
-  return impl_->binary_mode.load(std::memory_order_relaxed) == 1;
-}
-
-bool BackendPool::submit(std::uint64_t id, const std::string& payload,
-                         bool framed, const PendingPtr& pending) {
-  Conn* conn = impl_->pick_open();
+bool BackendPool::submit(std::uint64_t id, const std::string& frame,
+                         const PendingPtr& pending) {
+  const bool stream = static_cast<bool>(pending->stream);
+  Conn* conn = impl_->pick_open(stream);
   if (conn == nullptr) {
     // Opportunistic revival: a failed submit is exactly when the health
     // cadence is too slow to matter (the caller is about to fail over).
     impl_->maintain();
-    conn = impl_->pick_open();
+    conn = impl_->pick_open(stream);
     if (conn == nullptr) return false;
   }
-  // A pre-encoded frame cannot be downgraded to a line; the router only
-  // renders one when binary() said the pool speaks frames, so hitting this
-  // means the pool flipped modes under the caller — fail over and re-render.
-  if (framed && !conn->binary) return false;
   // Register before writing: a pipelined backend can answer before the
   // write call even returns.
   {
@@ -399,13 +359,7 @@ bool BackendPool::submit(std::uint64_t id, const std::string& payload,
     // and the failure-path shutdown always hits the socket we wrote to.
     std::lock_guard<std::mutex> lock(conn->write_mutex);
     if (conn->open.load(std::memory_order_relaxed)) {
-      if (framed)
-        sent = net::write_all(conn->fd, payload);
-      else if (conn->binary)  // JSON over a frame stream: type-4 wrap
-        sent = net::write_all(
-            conn->fd, rnet::encode_frame(rnet::kFrameJson, payload));
-      else
-        sent = net::write_line(conn->fd, payload);
+      sent = net::write_all(conn->fd, frame);
       // Wake the reader so the break is processed once, centrally.
       if (!sent) ::shutdown(conn->fd, SHUT_RDWR);
     }
@@ -435,7 +389,6 @@ void BackendPool::shutdown() { impl_->shutdown(); }
 PoolStats BackendPool::stats() const {
   PoolStats out;
   out.alive = alive();
-  out.binary = binary();
   out.requests = impl_->dispatches->value();
   out.failures = impl_->failures->value();
   for (const auto& conn : impl_->conns) {

@@ -4,38 +4,40 @@
 /// with id-matched replies, health state, and exponential-backoff
 /// reconnect — the router's transport layer.
 ///
-/// Every request line the router forwards carries a router-assigned
-/// `"id"`; the backend echoes it as the first member of the response line.
-/// A pool keeps a small set of long-lived connections to its backend, each
-/// with a dedicated reader thread: submit() registers the id in the
-/// connection's pending map and writes the line (many client threads
-/// pipeline over one connection — the backend answers a connection in
-/// request order, but the id match makes the pool indifferent to order).
-/// The reader completes the matching PendingReply as each response
-/// arrives.
+/// Every request the router forwards carries a router-assigned `"id"`; the
+/// backend echoes it in the reply (the first member of a JSON reply, a
+/// field of a binary one). A pool keeps a small set of long-lived
+/// connections to its backend, each with a dedicated reader thread:
+/// submit() registers the id in the connection's pending map and writes
+/// the frame (many client threads pipeline over one connection — the
+/// backend answers a connection in request order, but the id match makes
+/// the pool indifferent to order). The reader completes the matching
+/// PendingReply as each reply arrives.
+///
+/// Wire: each fresh connection negotiates the frame protocol with
+/// `{"op":"upgrade"}` (bounded ack wait) before it carries anything. A
+/// backend that declines, or never acks, is a failed connect under
+/// backoff. Dense solves ride type-1 frames; every JSON payload (puts,
+/// masked passthroughs, watches) rides a type-4 frame.
+///
+/// Streams: a PendingReply with a `stream` callback (a watch relay) stays
+/// registered across replies until the callback ends it. Streams ride one
+/// extra connection of their own, the stream lane: the backend answers a
+/// connection one batch at a time, so a watch sent behind the solve it
+/// watches would wait for that solve to finish.
 ///
 /// Failure semantics: when a connection breaks (EOF, reset, write error),
 /// every reply pending *on that connection* is failed immediately — the
-/// waiting router threads fail over to the next backend in the HRW order —
-/// and the pool goes into backoff. maintain() (called by the router's
-/// health thread, and opportunistically by submit()) retries the connect
-/// with exponential backoff; first success marks the backend alive and the
-/// ring re-includes it for its own keys.
-///
-/// Binary fast path: each fresh connection negotiates the frame protocol
-/// with `{"op":"upgrade"}` (bounded ack wait, JSON fallback — an old
-/// backend that answers with an error keeps a perfectly good line
-/// connection). The first negotiation fixes the pool's wire mode for its
-/// lifetime, so every live connection speaks the same framing and the
-/// router can render exactly one encoding per request: type-1 solve frames
-/// on the hot path, JSON wrapped in type-4 frames for everything else
-/// (admin verbs, puts, masked passthroughs). A later connection whose
-/// negotiation disagrees (backend swapped for an incompatible build at the
-/// same endpoint) is dropped and retried under backoff rather than
-/// letting one pool speak two protocols.
+/// waiting router threads fail over to the next backend in the HRW order,
+/// and each stream hears the break once — and the pool goes into backoff.
+/// maintain() (called by the router's health thread, and opportunistically
+/// by submit()) retries the connect with exponential backoff; first
+/// success marks the backend alive and the ring re-includes it for its own
+/// keys.
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -71,36 +73,38 @@ struct PendingReply {
   std::condition_variable cv;
   bool done = false;
   bool broken = false;
-  /// The reply: a JSON line with the id prefix stripped (frame_type 0 —
-  /// line replies and type-4 JSON frames look identical here), or a raw
-  /// type-2/3 frame payload the caller decodes with io/binary_io.h.
+  /// The reply: a type-4 JSON frame's line with the id prefix stripped
+  /// (frame_type 0), or a raw type-2/3 frame payload the caller decodes
+  /// with io/binary_io.h.
   std::uint8_t frame_type = 0;
   std::string line;
+
+  /// Set before submit() to make this a stream registration: the pool's
+  /// reader calls it with each reply line (id prefix stripped) and keeps
+  /// the id registered while it returns true; a connection break calls it
+  /// once with nullptr. wait() is never used on a stream.
+  std::function<bool(const std::string* line)> stream;
 };
 
 using PendingPtr = std::shared_ptr<PendingReply>;
 
 /// Pool knobs (router options map 1:1; tests shrink the backoff).
 struct PoolOptions {
-  std::size_t connections = 1;     ///< Pipelined sockets to the backend.
+  std::size_t connections = 1;     ///< Pipelined sockets (plus the lane).
   double backoff_base_ms = 50.0;   ///< First reconnect delay after a break.
   double backoff_max_ms = 2000.0;  ///< Backoff ceiling (doubling).
-  /// Negotiate the binary frame protocol on fresh connections
-  /// (`ebmf route --no-binary` turns it off fleet-wide).
-  bool negotiate_binary = true;
 };
 
 /// Point-in-time pool counters, read from the pool's registry series.
 struct PoolStats {
   bool alive = false;            ///< At least one live connection.
-  bool binary = false;           ///< Connections speak the frame protocol.
-  std::uint64_t requests = 0;    ///< Lines submitted.
+  std::uint64_t requests = 0;    ///< Frames submitted.
   std::uint64_t failures = 0;    ///< Connection-level breaks observed.
   std::size_t inflight = 0;      ///< Replies currently pending.
 };
 
 /// Connections to one backend. Thread-safe: submit() may be called from
-/// every router connection thread concurrently.
+/// every router worker thread concurrently.
 class BackendPool {
  public:
   /// The pool counts into `registry` (which must outlive it) as
@@ -117,19 +121,12 @@ class BackendPool {
 
   [[nodiscard]] bool alive() const noexcept;
 
-  /// True once the pool's connections negotiated the binary frame
-  /// protocol (sticky for the pool's lifetime — see the file comment).
-  /// The router checks this to pick which request encoding to render.
-  [[nodiscard]] bool binary() const noexcept;
-
-  /// Register `pending` under `id` and write `payload` on a live
-  /// connection. `framed` says what `payload` is: complete frame bytes
-  /// (binary pools only — a frame cannot be downgraded to a line), or a
-  /// JSON line the pool newline-terminates (and, on a binary connection,
-  /// wraps in a type-4 frame). The payload must already carry the id.
-  /// False when the backend is down right now — the caller fails over; no
-  /// partial registration survives a failed submit.
-  bool submit(std::uint64_t id, const std::string& payload, bool framed,
+  /// Register `pending` under `id` and write `frame` (complete frame
+  /// bytes that already carry the id) on a live connection — the stream
+  /// lane when `pending->stream` is set. False when the backend is down
+  /// right now — the caller fails over; no partial registration survives
+  /// a failed submit.
+  bool submit(std::uint64_t id, const std::string& frame,
               const PendingPtr& pending);
 
   /// Drop a registration whose waiter gave up (timeout): a late reply for

@@ -1,8 +1,8 @@
 // The sharding front tier: client connections on the epoll reactor
 // (net/reactor.h), local canonicalization + L1 cache, HRW dispatch over
-// the backend pools (binary frames with the pre-canonicalized fast path
-// when the pool negotiated the upgrade, line-JSON otherwise), in-order
-// reply reassembly with failover, the cluster control plane
+// the backend pools (binary frames carrying the pre-canonicalized
+// pattern), in-order reply reassembly with failover, watch relays on the
+// pools' stream lanes, the cluster control plane
 // (join/leave/heartbeat membership, epoch-stamped view swaps, hot-key
 // replication), and the SIGTERM drain.
 
@@ -53,7 +53,7 @@ namespace net = service::net;
 namespace rnet = ebmf::net;
 
 using net::error_json;
-using net::write_line;
+using net::framed_json;
 
 namespace {
 
@@ -62,17 +62,6 @@ namespace {
 /// short-lived dial per exchange, through the fault-injection layer — and
 /// a stuck peer costs the caller at most this long per step.
 constexpr double kPeerCallSeconds = 2.0;
-
-/// The watch relay's dial window toward the serving backend.
-constexpr double kWatchDialSeconds = 2.0;
-
-/// Wrap one JSON reply line in the framing the triggering message used:
-/// '\n'-terminated on a line connection, a type-4 JSON frame after the
-/// upgrade.
-std::string framed_json(rnet::WireMode mode, const std::string& line) {
-  if (mode == rnet::WireMode::Line) return line + "\n";
-  return rnet::encode_frame(rnet::kFrameJson, line);
-}
 
 /// One client message's journey through a batch: either resolved up front
 /// (parse error, stats, membership verb, L1 hit, local zero-pattern
@@ -108,13 +97,11 @@ struct RouteTask {
   std::string backend_events;
   std::uint64_t route_key = 0;
   std::uint64_t router_id = 0;
-  /// The forward request, rendered lazily per pool wire mode: `backend_line`
-  /// (JSON) for line pools and every non-solve payload, `backend_frame` (a
-  /// complete type-1 frame carrying the canonical key, so the backend skips
-  /// canonicalization entirely) for binary pools. A failover between pools
-  /// of different modes just renders the other encoding once.
+  /// The forward request, and the frame dispatch renders from it once
+  /// (failovers resend the same bytes): a type-1 solve frame carrying the
+  /// canonical key, so the backend skips canonicalization entirely, or a
+  /// type-4 JSON frame for a masked passthrough.
   io::WireRequest forward;
-  std::string backend_line;
   std::string backend_frame;
   /// Frame type of the awaited backend reply (0 = JSON text).
   std::uint8_t reply_frame_type = 0;
@@ -218,7 +205,7 @@ struct Router::Impl {
   /// Where each id-carrying in-flight solve currently lives: the client's
   /// id → (serving backend endpoint, the router-assigned forwarded id).
   /// `{"op":"watch","id":N}` resolves N here and relays the stream from
-  /// that backend; failovers re-point the entry mid-flight.
+  /// that backend's stream lane; failovers re-point the entry mid-flight.
   struct WatchRoute {
     std::string endpoint;
     std::uint64_t router_id = 0;
@@ -278,17 +265,6 @@ struct Router::Impl {
 
   std::thread health_thread;
 
-  /// One watch relay = one tracked thread streaming a backend's progress
-  /// frames through conn->try_send (never occupying a reactor worker for
-  /// the lifetime of someone else's solve). Finished threads are reaped on
-  /// the next watch; stop() joins the rest.
-  struct WatchThread {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::mutex watch_threads_mutex;
-  std::vector<WatchThread> watch_threads;
-
   std::atomic<std::uint64_t> next_id{1};
   /// The admission gate (try_admit reads the old value it adds to).
   std::atomic<std::size_t> inflight{0};
@@ -340,12 +316,8 @@ struct Router::Impl {
   void unregister_watch(const RouteTask& task);
   void handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
                     rnet::WireMode mode);
-  void watch_relay(const rnet::ConnPtr& conn, std::int64_t id,
-                   rnet::WireMode mode);
-  void reap_watch_threads(bool join_all);
   void prepare_task(const rnet::Message& message, RouteTask& task);
   bool dispatch(RouteTask& task);
-  const std::string& backend_payload(RouteTask& task, bool framed);
   std::string await_reply(RouteTask& task);
   void replicate(RouteTask& task, const engine::SolveReport& report);
   void finalize_reply(RouteTask& task, const std::string& raw);
@@ -852,7 +824,6 @@ std::string Router::Impl::stats_json(std::int64_t id) const {
     if (i != 0) out << ",";
     out << "{\"endpoint\":\"" << io::json::escape(snapshot[i].endpoint)
         << "\",\"alive\":" << (pool.alive ? "true" : "false")
-        << ",\"binary\":" << (pool.binary ? "true" : "false")
         << ",\"static\":" << (snapshot[i].is_static ? "true" : "false")
         << ",\"requests\":" << pool.requests
         << ",\"failures\":" << pool.failures
@@ -945,36 +916,6 @@ std::string Router::Impl::fleet_metrics_json(std::int64_t id) {
         << ",\"content_type\":\"text/plain; version=0.0.4\",\"body\":\""
         << io::json::escape(obs::federate_prometheus(instances)) << "\"}";
   return reply.str();
-}
-
-/// Pull the raw `"events":[...]` array out of a backend reply so the
-/// lifted re-render can carry the backend's flight-recorder snapshot
-/// verbatim. Empty when the reply has none. (A top-level key only —
-/// string values have their quotes escaped, so the needle can't match
-/// inside a label.)
-static std::string raw_events_array(const std::string& raw) {
-  const std::size_t key = raw.find("\"events\":[");
-  if (key == std::string::npos) return std::string();
-  const std::size_t open = key + 9;  // the '['
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = open; i < raw.size(); ++i) {
-    const char c = raw[i];
-    if (in_string) {
-      if (c == '\\')
-        ++i;
-      else if (c == '"')
-        in_string = false;
-      continue;
-    }
-    if (c == '"')
-      in_string = true;
-    else if (c == '[')
-      ++depth;
-    else if (c == ']' && --depth == 0)
-      return raw.substr(open, i - open + 1);
-  }
-  return std::string();
 }
 
 /// Park a pre-rendered JSON reply (admin verbs, passthroughs, protocol
@@ -1089,7 +1030,9 @@ void Router::Impl::replicate(RouteTask& task,
     if (!pool) continue;
     const std::uint64_t id = next_id.fetch_add(1, std::memory_order_relaxed);
     put.id = static_cast<std::int64_t>(id);
-    if (pool->submit(id, io::wire_request_json(put), /*framed=*/false,
+    if (pool->submit(id,
+                     rnet::encode_frame(rnet::kFrameJson,
+                                        io::wire_request_json(put)),
                      std::make_shared<PendingReply>()))
       replica_puts->add(1);
   }
@@ -1118,114 +1061,62 @@ void Router::Impl::unregister_watch(const RouteTask& task) {
 }
 
 /// `{"op":"watch","id":N}` at the router: resolve N to the serving backend
-/// and spawn a tracked relay thread. The relay dials the backend on a
-/// dedicated socket (watch streams block — they must not ride the pooled
-/// pipelined connections), so it cannot run on a reactor worker for the
-/// lifetime of someone else's solve.
+/// and relay its stream with no thread of its own. The router submits
+/// `{"op":"watch","id":C,"of":R}` (C fresh, R the forwarded id) as a
+/// stream registration on the backend pool's stream lane; the pool's
+/// reader hands each line to the callback below, which restores the
+/// client's id and queues it on the client connection. The stream ends on
+/// the backend's done or error line, a client hangup, or a pool break —
+/// which the watcher hears as a terminal error line.
 void Router::Impl::handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
                                 rnet::WireMode mode) {
-  {
-    std::lock_guard<std::mutex> lock(watch_mutex);
-    if (watch_routes.find(id) == watch_routes.end()) {
-      // Mirror the backend's wording: clients retry the same error string
-      // whether they watch through a router or directly.
-      conn->send(framed_json(
-          mode, error_json("watch: no in-flight request with id " +
-                               std::to_string(id),
-                           "", id)));
-      return;
-    }
-  }
-  reap_watch_threads(false);
-  auto done = std::make_shared<std::atomic<bool>>(false);
-  WatchThread watcher;
-  watcher.done = done;
-  watcher.thread = std::thread([this, conn, id, mode, done]() {
-    watch_relay(conn, id, mode);
-    done->store(true, std::memory_order_release);
-  });
-  const std::lock_guard<std::mutex> lock(watch_threads_mutex);
-  watch_threads.push_back(std::move(watcher));
-}
-
-/// The relay body: forward the watch under the router-assigned id and
-/// stream every frame back with the client's id restored. Ends on the
-/// backend's done line, backend EOF, client hangup, or drain.
-void Router::Impl::watch_relay(const rnet::ConnPtr& conn, std::int64_t id,
-                               rnet::WireMode mode) {
+  const auto fail = [&](const std::string& message) {
+    conn->send(framed_json(mode, error_json(message, "", id)));
+  };
   WatchRoute route;
   {
     std::lock_guard<std::mutex> lock(watch_mutex);
     const auto it = watch_routes.find(id);
     if (it == watch_routes.end()) {
-      // Retired between handle_watch and the thread start — same wording.
-      conn->send(framed_json(
-          mode, error_json("watch: no in-flight request with id " +
-                               std::to_string(id),
-                           "", id)));
+      // Mirror the backend's wording: clients retry the same error string
+      // whether they watch through a router or directly.
+      fail("watch: no in-flight request with id " + std::to_string(id));
       return;
     }
     route = it->second;
   }
-  const int fd = net::dial(route.endpoint, kWatchDialSeconds, &stopping);
-  if (fd < 0 || !write_line(fd, "{\"op\":\"watch\",\"id\":" +
-                                    std::to_string(route.router_id) + "}")) {
-    if (fd >= 0) ::close(fd);
-    conn->send(framed_json(mode, error_json("watch: backend '" +
-                                                route.endpoint +
-                                                "' unreachable",
-                                            "", id)));
-    return;
-  }
-  // Every backend line (frames, the done line, errors) leads with the
-  // forwarded id; swap it for the id the client knows.
-  const std::string from = "{\"id\":" + std::to_string(route.router_id);
-  const std::string to = "{\"id\":" + std::to_string(id);
-  net::LineBuffer buffer;
-  std::string line;
-  while (!stopping.load(std::memory_order_relaxed)) {
-    // Short read windows: a client that hung up mid-solve must release
-    // this thread (and the backend's subscription) promptly.
-    const net::Read got = net::read_line(fd, buffer, line, 0.2);
-    if (got == net::Read::Closed) break;
-    if (got == net::Read::Timeout) {
-      if (conn->closed()) break;
-      continue;
+  const std::shared_ptr<BackendPool> pool = pool_for(route.endpoint);
+  auto pending = std::make_shared<PendingReply>();
+  pending->stream = [conn, mode, id,
+                     endpoint = route.endpoint](const std::string* line) {
+    if (line == nullptr) {
+      conn->send(framed_json(
+          mode,
+          error_json("watch: backend '" + endpoint + "' lost", "", id)));
+      return false;
     }
-    if (line.rfind(from, 0) == 0) line = to + line.substr(from.size());
     // Intermediate frames ride try_send — watch is diagnostics, not data
-    // plane, so a slow watcher loses frames rather than stalling the
-    // relay. The terminal line (done or error) uses send: it must arrive
+    // plane, so a slow watcher loses frames rather than growing the
+    // queue. The terminal line (done or error) uses send: it must arrive
     // or the connection is already gone.
-    const bool final_line =
-        line.find("\"done\":true") != std::string::npos ||
-        line.find("\"error\"") != std::string::npos;
-    const bool ok = final_line ? conn->send(framed_json(mode, line))
-                               : conn->try_send(framed_json(mode, line));
-    if (!ok || final_line) break;
-  }
-  ::close(fd);
-}
-
-/// Join watch relays that have finished (every spawn), or all of them
-/// (stop() — they exit promptly once `stopping` is set).
-void Router::Impl::reap_watch_threads(bool join_all) {
-  std::vector<std::thread> joinable;
-  {
-    const std::lock_guard<std::mutex> lock(watch_threads_mutex);
-    for (std::size_t i = 0; i < watch_threads.size();) {
-      if (join_all ||
-          watch_threads[i].done->load(std::memory_order_acquire)) {
-        joinable.push_back(std::move(watch_threads[i].thread));
-        watch_threads.erase(watch_threads.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-  }
-  for (std::thread& thread : joinable)
-    if (thread.joinable()) thread.join();
+    const bool final_line = line->find("\"done\":true") != std::string::npos ||
+                            line->rfind("{\"error\"", 0) == 0;
+    const std::string bytes = framed_json(mode, net::with_id_prefix(*line, id));
+    const bool ok = final_line ? conn->send(bytes) : conn->try_send(bytes);
+    return ok && !final_line;
+  };
+  io::WireRequest watch;
+  watch.op = io::WireOp::Watch;
+  const std::uint64_t stream_id =
+      next_id.fetch_add(1, std::memory_order_relaxed);
+  watch.id = static_cast<std::int64_t>(stream_id);
+  watch.watch_of = static_cast<std::int64_t>(route.router_id);
+  if (!pool ||
+      !pool->submit(stream_id,
+                    rnet::encode_frame(rnet::kFrameJson,
+                                       io::wire_request_json(watch)),
+                    pending))
+    fail("watch: backend '" + route.endpoint + "' unreachable");
 }
 
 /// Parse one client message and decide its path: immediate reply,
@@ -1397,8 +1288,8 @@ void Router::Impl::prepare_task(const rnet::Message& message,
     // Masked patterns have no canonical form: forward verbatim, keyed by
     // the raw pattern text alone — ids, labels, and knobs must not split
     // the shard — so repeats of one masked pattern share a backend.
-    // Passthroughs always travel as JSON (the binary solve frame cannot
-    // carry a mask); backend_payload() renders lazily per pool mode.
+    // Passthroughs travel as JSON (the binary solve frame cannot carry a
+    // mask).
     task.passthrough = true;
     task.route_key = fnv1a64(io::render_pattern_text(wire.request));
     task.forward = std::move(forward);
@@ -1462,9 +1353,8 @@ void Router::Impl::prepare_task(const rnet::Message& message,
   // space (its own canon pass is then near-trivial), which is exactly the
   // space the L1 stores and the lift consumes. The client's label stays
   // here; the partition always rides along for the L1 insert. The
-  // canonical key rides too: a binary-framed forward carries it so the
-  // backend skips its own canon pass entirely (the JSON render ignores
-  // these fields — old backends re-derive the key themselves).
+  // canonical key rides too, so the backend skips its own canon pass
+  // entirely.
   forward.request.matrix = task.canonical.pattern;
   forward.request.label.clear();
   forward.include_partition = true;
@@ -1472,24 +1362,6 @@ void Router::Impl::prepare_task(const rnet::Message& message,
   forward.request.canon_hi = task.canonical.key.hi;
   forward.request.canon_lo = task.canonical.key.lo;
   task.forward = std::move(forward);
-}
-
-/// Render (once, memoized) the forward in whichever encoding the serving
-/// pool speaks: a complete type-1 solve frame for binary pools on the
-/// canonical path, the JSON request line otherwise. Both encodings may be
-/// rendered over one task's lifetime — a failover can cross pools with
-/// different wire modes.
-const std::string& Router::Impl::backend_payload(RouteTask& task,
-                                                 bool framed) {
-  if (framed) {
-    if (task.backend_frame.empty())
-      task.backend_frame = rnet::encode_frame(
-          rnet::kFrameSolveRequest, io::binary_request_payload(task.forward));
-    return task.backend_frame;
-  }
-  if (task.backend_line.empty())
-    task.backend_line = io::wire_request_json(task.forward);
-  return task.backend_line;
 }
 
 /// First submission: take the current view, then walk the key's HRW
@@ -1500,13 +1372,16 @@ bool Router::Impl::dispatch(RouteTask& task) {
   task.view = views.current();
   task.preference = task.view->ordered(task.route_key);
   task.dispatch_start_us = obs::steady_micros();
+  task.backend_frame =
+      task.passthrough
+          ? rnet::encode_frame(rnet::kFrameJson,
+                               io::wire_request_json(task.forward))
+          : rnet::encode_frame(rnet::kFrameSolveRequest,
+                               io::binary_request_payload(task.forward));
   for (std::size_t i = 0; i < task.preference.size(); ++i) {
     const std::shared_ptr<BackendPool> pool = pool_for(task.preference[i]);
     if (!pool) continue;  // membership raced ahead of the pool set
-    const bool framed =
-        task.canonical_mode && options.binary_backend && pool->binary();
-    if (pool->submit(task.router_id, backend_payload(task, framed), framed,
-                     task.pending)) {
+    if (pool->submit(task.router_id, task.backend_frame, task.pending)) {
       task.preference_cursor = i;
       task.failovers += i > 0 ? 1 : 0;
       if (i > 0) failovers->add(1);
@@ -1570,10 +1445,7 @@ std::string Router::Impl::await_reply(RouteTask& task) {
       const std::shared_ptr<BackendPool> pool = pool_for(task.preference[i]);
       if (!pool) continue;
       task.pending->reset();
-      const bool framed =
-          task.canonical_mode && options.binary_backend && pool->binary();
-      if (pool->submit(task.router_id, backend_payload(task, framed), framed,
-                       task.pending)) {
+      if (pool->submit(task.router_id, task.backend_frame, task.pending)) {
         task.preference_cursor = i;
         ++task.failovers;
         failovers->add(1);
@@ -1587,10 +1459,9 @@ std::string Router::Impl::await_reply(RouteTask& task) {
   return std::string();
 }
 
-/// Resolve a forwarded task from its raw backend reply: a JSON line when
-/// `reply_frame_type` is 0 (line replies and type-4 frames look identical
-/// here), a raw type-2/3 frame payload otherwise. Empty raw means every
-/// backend was exhausted.
+/// Resolve a forwarded task from its raw backend reply: a type-4 frame's
+/// JSON line when `reply_frame_type` is 0 (passthroughs), a raw type-2/3
+/// frame payload otherwise. Empty raw means every backend was exhausted.
 void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
   if (task.trace && task.forwarded)
     // Submit → reply received, the backend exchange the server's own
@@ -1602,80 +1473,46 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
     return;
   }
   if (task.passthrough) {
-    // Passthrough forwards are always JSON, so the reply is too.
+    // Passthrough forwards are JSON, so the reply is too.
     const bool is_error = raw.rfind("{\"error\"", 0) == 0;
     resolve_json(task, net::with_id_prefix(raw, task.client_id), is_error);
     return;
   }
-  if (task.reply_frame_type == rnet::kFrameError) {
-    // The binary twin of the semantic-error branch below: re-own the
-    // message, do not fail over.
-    std::string message = "backend error";
-    try {
-      const io::BinaryError be = io::parse_binary_error(raw);
-      if (!be.message.empty()) message = be.message;
-    } catch (const std::exception&) {
+  if (task.reply_frame_type != rnet::kFrameSolveReport) {
+    // A semantic backend error (unknown strategy, bad knobs): re-own the
+    // message so the client sees its own label/id, and do not fail over —
+    // every backend would refuse the same request.
+    std::string message = "router: unexpected backend reply";
+    if (task.reply_frame_type == rnet::kFrameError) {
+      message = "backend error";
+      try {
+        const io::BinaryError be = io::parse_binary_error(raw);
+        if (!be.message.empty()) message = be.message;
+      } catch (const std::exception&) {
+      }
     }
     resolve_error(task, message);
     return;
   }
   engine::SolveReport report;
-  if (task.reply_frame_type == rnet::kFrameSolveReport) {
-    try {
-      io::BinaryReply br = io::parse_binary_report(raw);
-      report = std::move(br.report);
-      task.backend_events = br.events_json;
-      // Fold the backend's spans into this request's recorder: they
-      // already parent under the propagated dispatch span id, so the
-      // assembled tree crosses the process boundary without fixups.
-      if (task.trace && !br.spans_json.empty()) {
-        try {
-          task.trace->adopt(obs::spans_from_json(
-              io::json::Value::parse(br.spans_json)));
-        } catch (const std::exception&) {
-          // Span text is diagnostics; a malformed tail never fails a solve.
-        }
+  try {
+    io::BinaryReply br = io::parse_binary_report(raw);
+    report = std::move(br.report);
+    task.backend_events = br.events_json;
+    // Fold the backend's spans into this request's recorder: they already
+    // parent under the propagated dispatch span id, so the assembled tree
+    // crosses the process boundary without fixups.
+    if (task.trace && !br.spans_json.empty()) {
+      try {
+        task.trace->adopt(
+            obs::spans_from_json(io::json::Value::parse(br.spans_json)));
+      } catch (const std::exception&) {
+        // Span text is diagnostics; a malformed tail never fails a solve.
       }
-    } catch (const std::exception& e) {
-      resolve_error(task,
-                    std::string("router: bad backend reply: ") + e.what());
-      return;
     }
-  } else if (raw.rfind("{\"error\"", 0) == 0) {
-    // A semantic backend error (unknown strategy, bad knobs): re-own it so
-    // the client sees its own label/id, and do not fail over — every
-    // backend would refuse the same request.
-    std::string message = "backend error";
-    try {
-      const io::json::Value document = io::json::Value::parse(raw);
-      if (const io::json::Value* error = document.find("error");
-          error != nullptr && error->is_string())
-        message = error->as_string();
-    } catch (const std::exception&) {
-    }
-    resolve_error(task, message);
+  } catch (const std::exception& e) {
+    resolve_error(task, std::string("router: bad backend reply: ") + e.what());
     return;
-  } else {
-    try {
-      const io::json::Value document = io::json::Value::parse(raw);
-      report = io::parse_wire_response(document,
-                                       task.canonical.pattern.rows(),
-                                       task.canonical.pattern.cols());
-      task.backend_events = raw_events_array(raw);
-      // Fold the backend's spans into this request's recorder (see the
-      // binary branch above).
-      if (task.trace) {
-        if (const io::json::Value* trace = document.find("trace");
-            trace != nullptr && trace->is_object())
-          if (const io::json::Value* spans = trace->find("spans");
-              spans != nullptr && spans->is_array())
-            task.trace->adopt(obs::spans_from_json(*spans));
-      }
-    } catch (const std::exception& e) {
-      resolve_error(task,
-                    std::string("router: bad backend reply: ") + e.what());
-      return;
-    }
   }
   // Insert the clean canonical-space report before stamping per-client
   // routing telemetry; the partition must witness the canonical pattern.
@@ -1742,8 +1579,9 @@ void Router::Impl::process_batch(const rnet::ConnPtr& conn,
   for (RouteTask& task : tasks) {
     if (task.skip) continue;
     if (task.watch) {
-      // Spawns a tracked relay thread — the stream must not occupy this
-      // worker for the lifetime of someone else's solve.
+      // Registers a stream on the serving pool and returns: the pool's
+      // reader relays the frames, so no worker waits out someone else's
+      // solve.
       if (!conn->closed()) handle_watch(conn, task.client_id, task.mode);
       continue;
     }
@@ -1977,10 +1815,7 @@ void Router::stop() {
     impl.reactor->shutdown();
   }
 
-  // 2. Watch relays exit on `stopping`.
-  impl.reap_watch_threads(true);
-
-  // 3. Only now tear down the transport.
+  // 2. Only now tear down the transport (open watch streams end with it).
   if (impl.health_thread.joinable()) impl.health_thread.join();
   if (impl.sync_thread.joinable()) impl.sync_thread.join();
   std::vector<std::shared_ptr<BackendPool>> snapshot;
@@ -2009,7 +1844,6 @@ RouterStats Router::stats() const {
     BackendHealth health;
     health.endpoint = backend.endpoint;
     health.alive = stats.alive;
-    health.binary = stats.binary;
     health.is_static = backend.is_static;
     health.requests = stats.requests;
     health.failures = stats.failures;

@@ -25,7 +25,9 @@
 ///    without touching a backend (`routed.l1: "hit"` telemetry), and the
 ///    snapshot persistence (`--cache-file`) survives restarts.
 ///  * **Failover.** Per-backend persistent connection pools (pool.h)
-///    pipeline requests under router-assigned ids. A broken backend fails
+///    pipeline requests under router-assigned ids, as binary frames: the
+///    canonical pattern and its key ride a type-1 frame, everything else
+///    JSON in a type-4 frame. A broken backend fails
 ///    its in-flight replies immediately; the owning connection threads
 ///    resubmit to the next live backend in the key's HRW order, so a
 ///    killed backend loses no accepted request. Degraded replies carry
@@ -130,12 +132,9 @@ struct RouterOptions {
   std::size_t io_workers = 0;
   /// Reap client connections idle this long (half-open peers). 0 = never.
   double idle_timeout_seconds = 0.0;
-  /// Negotiate the binary frame protocol on backend pool connections and
-  /// use the canonical-key fast path for dense solves
-  /// (`ebmf route --no-binary` turns it off; JSON lines then carry all
-  /// router→backend traffic exactly as before the upgrade existed).
-  bool binary_backend = true;
-  std::size_t pool_connections = 1;  ///< Sockets per backend.
+  /// Pipelined sockets per backend (each pool adds one stream lane for
+  /// watch relays).
+  std::size_t pool_connections = 1;
   /// Give up on a backend reply after this long and fail over (a hung
   /// backend must not wedge a client thread forever). 0 = wait forever.
   double reply_timeout_seconds = 30.0;
@@ -162,9 +161,8 @@ struct RouterOptions {
 struct BackendHealth {
   std::string endpoint;
   bool alive = false;
-  bool binary = false;         ///< Pool negotiated the frame protocol.
   bool is_static = false;      ///< Configured at startup (never evicted).
-  std::uint64_t requests = 0;  ///< Lines submitted to this backend.
+  std::uint64_t requests = 0;  ///< Frames submitted to this backend.
   std::uint64_t failures = 0;  ///< Connection breaks observed.
 };
 

@@ -265,6 +265,11 @@ std::string with_id_prefix(const std::string& line, std::int64_t id) {
   return prefix + "," + line.substr(1);
 }
 
+std::string framed_json(ebmf::net::WireMode mode, const std::string& line) {
+  if (mode == ebmf::net::WireMode::Line) return line + "\n";
+  return ebmf::net::encode_frame(ebmf::net::kFrameJson, line);
+}
+
 bool LineBuffer::pop(std::string& line) {
   const std::size_t nl = buffer_.find('\n');
   if (nl == std::string::npos) return false;

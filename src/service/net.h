@@ -23,6 +23,8 @@
 #include <string>
 #include <utility>
 
+#include "net/frame.h"
+
 namespace ebmf::obs {
 class Registry;
 }  // namespace ebmf::obs
@@ -81,6 +83,10 @@ bool strip_id_prefix(std::string& line, std::uint64_t& id);
 /// Splice `"id": id` in as the first member of a rendered JSON object
 /// (id < 0 returns the line unchanged).
 std::string with_id_prefix(const std::string& line, std::int64_t id);
+
+/// Wrap one JSON line in the given framing: '\n'-terminated on a line
+/// connection, a type-4 JSON frame after the upgrade.
+std::string framed_json(ebmf::net::WireMode mode, const std::string& line);
 
 /// Frames complete '\n'-terminated lines (CR trimmed) out of appended
 /// chunks.

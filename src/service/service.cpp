@@ -54,6 +54,7 @@ namespace {
 constexpr double kAnnounceWindowSeconds = 2.0;
 
 using net::error_json;
+using net::framed_json;
 using net::write_line;
 namespace rnet = ebmf::net;
 
@@ -67,14 +68,6 @@ struct ConnState {
 
 std::shared_ptr<ConnState> conn_state(const rnet::ConnPtr& conn) {
   return std::static_pointer_cast<ConnState>(conn->user());
-}
-
-/// Wrap one JSON reply line in the framing the triggering message used:
-/// '\n'-terminated on a line connection, a type-4 JSON frame after the
-/// upgrade.
-std::string framed_json(rnet::WireMode mode, const std::string& line) {
-  if (mode == rnet::WireMode::Line) return line + "\n";
-  return rnet::encode_frame(rnet::kFrameJson, line);
 }
 
 }  // namespace
@@ -181,7 +174,7 @@ struct Server::Impl {
   std::string stats_json(std::int64_t id) const;
   std::string handle_put(const io::WireRequest& wire);
   void handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
-                    rnet::WireMode mode);
+                    std::int64_t of, rnet::WireMode mode);
   void log_slow(const engine::SolveReport& report, double elapsed_ms,
                 const std::string& trace_id);
   std::string advertised_endpoint() const;
@@ -247,9 +240,11 @@ std::string Server::Impl::stats_json(std::int64_t id) const {
   return out.str();
 }
 
-/// `{"op":"watch","id":N}`: stream the named in-flight solve's progress
-/// frames to this connection as JSONL (framed per the connection's wire
-/// mode), then a final `{"done":true}` line when the solve retires. No
+/// `{"op":"watch","id":C,"of":N}`: stream in-flight solve N's progress
+/// frames to this connection as JSONL under id C (framed per the
+/// connection's wire mode), then a final `{"done":true}` line when the
+/// solve retires (`of` defaults to `id`; the router watches under its own
+/// correlation id over a pooled connection). No
 /// thread serves the stream: the sink replays its history and registers
 /// the listener under one lock, every publish enqueues onto the
 /// connection's reactor write queue through try_send (which drops frames a
@@ -257,17 +252,17 @@ std::string Server::Impl::stats_json(std::int64_t id) const {
 /// closed — unsubscribing the listener), and finish() enqueues the done
 /// line.
 void Server::Impl::handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
-                                rnet::WireMode mode) {
+                                std::int64_t of, rnet::WireMode mode) {
   obs::ProgressSinkPtr sink;
   {
     const std::lock_guard<std::mutex> lock(inflight_mutex);
-    const auto it = inflight_watch.find(id);
+    const auto it = inflight_watch.find(of);
     if (it != inflight_watch.end()) sink = it->second.sink;
   }
   if (!sink) {
     conn->send(framed_json(
         mode, error_json("watch: no in-flight request with id " +
-                             std::to_string(id),
+                             std::to_string(of),
                          "", id)));
     return;
   }
@@ -574,7 +569,7 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
     if (wire.op == io::WireOp::Watch) {
       // Streams on this connection from the solve's own publishes until
       // it retires; the batch moves on immediately.
-      impl.handle_watch(conn, wire.id, p.mode);
+      impl.handle_watch(conn, wire.id, wire.watch_of, p.mode);
       p.skip = true;
       continue;
     }

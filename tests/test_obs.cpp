@@ -262,6 +262,30 @@ std::map<std::string, Span> spans_by_name(const io::json::Value& trace) {
   return out;
 }
 
+/// The sorted span names of a traced reply (duplicates kept).
+std::vector<std::string> span_names(const std::string& reply) {
+  const io::json::Value document = io::json::Value::parse(reply);
+  const io::json::Value* trace = document.find("trace");
+  if (trace == nullptr) return {};
+  const io::json::Value* spans = trace->find("spans");
+  std::vector<std::string> names;
+  for (std::size_t i = 0; spans != nullptr && i < spans->size(); ++i)
+    names.push_back(spans->at(i).find("name")->as_string());
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// One traced solve of `pattern` under a fresh trace context.
+std::string traced_round_trip(service::Client& client,
+                              const std::string& pattern) {
+  io::WireRequest wire;
+  wire.request =
+      engine::SolveRequest::dense(BinaryMatrix::parse(pattern), "auto");
+  wire.has_trace = true;
+  wire.trace = make_trace_context();
+  return client.round_trip(io::wire_request_json(wire));
+}
+
 TEST(Trace, SpanTreeAcrossServeAndRoute) {
   service::ServerOptions backend_options;
   backend_options.port = 0;
@@ -358,6 +382,17 @@ TEST(Trace, SpanTreeAcrossServeAndRoute) {
       found = true;
   EXPECT_TRUE(found);
 
+  // Sent straight to the backend, a traced solve runs the full pipeline:
+  // its own canon and lift passes appear.
+  service::Client direct("127.0.0.1", backend.port());
+  const std::string direct_reply = traced_round_trip(direct, "1100;0110;0011");
+  const std::vector<std::string> direct_spans = span_names(direct_reply);
+  for (const char* name : {"server.request", "engine.canon", "engine.solve",
+                           "engine.lift"})
+    EXPECT_TRUE(std::count(direct_spans.begin(), direct_spans.end(), name) ==
+                1)
+        << "direct solve missing span " << name << ": " << direct_reply;
+
   // A legacy request on the same fleet stays trace-free.
   const std::string legacy =
       client.round_trip(R"({"pattern":"110;011;111"})");
@@ -376,49 +411,49 @@ TEST(Trace, SpanTreeAcrossServeAndRoute) {
   backend.stop();
 }
 
-// The same fleet with --no-binary: the forward travels as a JSON line and
-// the backend runs its full pipeline, so the legacy span tree (canon and
-// lift included) still assembles across the processes.
-TEST(Trace, SpanTreeLegacyJsonBackendWire) {
+// The exact span sets of the routed hit classes over the binary hop: a
+// router L1 hit never leaves the router, and a backend cache hit (L1 off)
+// crosses the hop but skips the solve (and, with the canonical key in the
+// frame, the backend's canon and lift passes).
+TEST(Trace, ExactSpanSetsOfRoutedHitsOverTheBinaryHop) {
   service::ServerOptions backend_options;
   backend_options.port = 0;
   backend_options.cache_mb = 8;
   service::Server backend(backend_options);
   backend.start();
+  const std::string endpoint = "127.0.0.1:" + std::to_string(backend.port());
 
-  router::RouterOptions router_options;
-  router_options.port = 0;
-  router_options.l1_mb = 8;
-  router_options.binary_backend = false;
-  router_options.backends.push_back("127.0.0.1:" +
-                                    std::to_string(backend.port()));
-  router::Router router(router_options);
-  router.start();
+  router::RouterOptions with_l1;
+  with_l1.port = 0;
+  with_l1.l1_mb = 8;
+  with_l1.backends.push_back(endpoint);
+  router::Router l1_router(with_l1);
+  l1_router.start();
+  router::RouterOptions without_l1 = with_l1;
+  without_l1.l1_mb = 0;
+  router::Router hop_router(without_l1);
+  hop_router.start();
 
-  service::Client client("127.0.0.1", router.port());
-  const TraceContext ctx = make_trace_context();
-  io::WireRequest wire;
-  wire.request =
-      engine::SolveRequest::dense(BinaryMatrix::parse("110;011;111"), "auto");
-  wire.has_trace = true;
-  wire.trace = ctx;
-  const std::string reply = client.round_trip(io::wire_request_json(wire));
-  const io::json::Value document = io::json::Value::parse(reply);
-  ASSERT_EQ(document.find("error"), nullptr) << reply;
+  const std::string pattern = "1101;0111;1011";
+  service::Client l1_client("127.0.0.1", l1_router.port());
+  const std::string cold = traced_round_trip(l1_client, pattern);
+  ASSERT_EQ(cold.find("\"error\""), std::string::npos) << cold;
 
-  const io::json::Value* trace = document.find("trace");
-  ASSERT_NE(trace, nullptr) << reply;
-  const std::map<std::string, Span> spans = spans_by_name(*trace);
-  for (const char* name :
-       {"router.request", "router.canon", "router.dispatch", "server.request",
-        "server.queue", "engine.canon", "engine.solve", "engine.lift"})
-    EXPECT_TRUE(spans.count(name) != 0) << "missing span " << name;
-  EXPECT_EQ(spans.at("server.request").parent_id,
-            spans.at("router.dispatch").span_id);
-  EXPECT_EQ(spans.at("engine.solve").parent_id,
-            spans.at("server.request").span_id);
+  EXPECT_EQ(span_names(traced_round_trip(l1_client, pattern)),
+            (std::vector<std::string>{"router.canon", "router.l1",
+                                      "router.request"}));
 
-  router.stop();
+  service::Client hop_client("127.0.0.1", hop_router.port());
+  const std::string hit = traced_round_trip(hop_client, pattern);
+  EXPECT_NE(hit.find("\"cache_hit\":\"true\""), std::string::npos) << hit;
+  EXPECT_EQ(span_names(hit),
+            (std::vector<std::string>{
+                "engine.cache_lookup", "router.canon", "router.dispatch",
+                "router.lift", "router.request", "server.queue",
+                "server.request"}));
+
+  hop_router.stop();
+  l1_router.stop();
   backend.stop();
 }
 

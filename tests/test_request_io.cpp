@@ -181,6 +181,22 @@ TEST(WireRequest, StatsOpSkipsThePattern) {
                std::runtime_error);
 }
 
+TEST(WireRequest, WatchOfDefaultsToIdAndRoundTrips) {
+  // A client's watch names the solve by its own id; the router's names it
+  // with "of" and takes the stream under a fresh id.
+  const auto direct = parse_wire_request(R"({"op":"watch","id":7})");
+  EXPECT_EQ(direct.op, WireOp::Watch);
+  EXPECT_EQ(direct.watch_of, 7);
+  EXPECT_EQ(wire_request_json(direct), "{\"id\":7,\"op\":\"watch\"}");
+  const auto routed = parse_wire_request(R"({"op":"watch","id":9,"of":4})");
+  EXPECT_EQ(routed.id, 9);
+  EXPECT_EQ(routed.watch_of, 4);
+  EXPECT_EQ(wire_request_json(routed),
+            "{\"id\":9,\"op\":\"watch\",\"of\":4}");
+  EXPECT_THROW((void)parse_wire_request(R"({"op":"watch","id":1,"of":-2})"),
+               std::runtime_error);
+}
+
 TEST(WireRequest, ClusterMembershipVerbsRoundTrip) {
   const struct {
     const char* name;

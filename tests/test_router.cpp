@@ -1,16 +1,20 @@
 // Tests for ebmf::router: rendezvous-ring stability under membership
-// changes, canonical shard affinity (permuted duplicates hitting one
-// backend cache through the router), the router L1, pipelined ordering
-// under concurrency, stats, and kill-one-backend failover mid-stream.
+// changes, pool backoff and upgrade negotiation, canonical shard affinity
+// (permuted duplicates hitting one backend cache through the router), the
+// router L1, pipelined ordering under concurrency, stats, kill-one-backend
+// failover mid-stream, and watch relays.
 
 #include "router/router.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -110,6 +114,88 @@ std::string pattern_text(const BinaryMatrix& m) {
   }
   return text;
 }
+
+/// A scripted stand-in for `ebmf serve`: answers each connection's
+/// `{"op":"upgrade"}` line with `ack`, then only counts the bytes it is
+/// sent. kill() drops every connection the way a crashed backend would,
+/// and connections accepted after it are closed at once.
+class FakeBackend {
+ public:
+  explicit FakeBackend(std::string ack, std::uint16_t port = 0)
+      : ack_(std::move(ack)) {
+    listener_.listen("127.0.0.1", port);
+    acceptor_ = std::thread([this] {
+      while (!stopping_) {
+        const int fd = listener_.accept_ready(10);
+        if (fd < 0) continue;
+        const std::lock_guard<std::mutex> lock(mutex_);
+        fds_.push_back(fd);
+        if (dead_)
+          ::shutdown(fd, SHUT_RDWR);
+        else
+          sessions_.emplace_back([this, fd] { serve(fd); });
+      }
+    });
+  }
+
+  ~FakeBackend() {
+    stopping_ = true;
+    acceptor_.join();
+    kill();
+    for (std::thread& session : sessions_) session.join();
+    for (const int fd : fds_) ::close(fd);
+  }
+
+  FakeBackend(const FakeBackend&) = delete;
+  FakeBackend& operator=(const FakeBackend&) = delete;
+
+  void kill() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    dead_ = true;
+    for (const int fd : fds_) ::shutdown(fd, SHUT_RDWR);
+  }
+
+  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
+  [[nodiscard]] std::size_t upgrades() const { return upgrades_.load(); }
+  /// Bytes received other than the upgrade lines.
+  [[nodiscard]] std::size_t bytes_after_upgrade() const {
+    return bytes_.load();
+  }
+
+ private:
+  void serve(int fd) {
+    service::net::LineBuffer buffer;
+    std::string line;
+    if (service::net::read_line(fd, buffer, line, 5.0) !=
+        service::net::Read::Ok)
+      return;
+    if (line.find("\"op\":\"upgrade\"") != std::string::npos) {
+      ++upgrades_;
+      service::net::write_line(fd, ack_);
+    } else {
+      bytes_ += line.size() + 1;
+    }
+    bytes_ += buffer.release().size();
+    std::string chunk;
+    while (service::net::recv_some(fd, chunk) == service::net::Read::Ok) {
+      bytes_ += chunk.size();
+      chunk.clear();
+    }
+  }
+
+  const std::string ack_;
+  service::net::TcpListener listener_;
+  std::atomic<bool> stopping_{false};
+  std::atomic<std::size_t> upgrades_{0};
+  std::atomic<std::size_t> bytes_{0};
+  std::mutex mutex_;
+  bool dead_ = false;
+  std::vector<int> fds_;
+  std::vector<std::thread> sessions_;
+  std::thread acceptor_;
+};
+
+constexpr char kUpgradeAck[] = R"({"upgraded":true})";
 
 // ---- ring -----------------------------------------------------------------
 
@@ -250,10 +336,6 @@ TEST(BackendPool, ReconnectRespectsExponentialBackoff) {
   PoolOptions options;
   options.backoff_base_ms = 100;
   options.backoff_max_ms = 2000;
-  // The "backend" below is a bare listening socket that never speaks, so
-  // the upgrade negotiation (a bounded protocol exchange) would read it as
-  // wedged; this test measures backoff clocks, not the wire handshake.
-  options.negotiate_binary = false;
   obs::Registry registry;
   BackendPool pool("127.0.0.1", port, options, registry);
   using Clock = std::chrono::steady_clock;
@@ -271,9 +353,9 @@ TEST(BackendPool, ReconnectRespectsExponentialBackoff) {
   EXPECT_FALSE(pool.alive());
   const auto second_failure = Clock::now();
 
-  // The backend comes up immediately — but the pool owes the window.
-  service::net::TcpListener listener;
-  listener.listen("127.0.0.1", port);
+  // The backend comes up immediately (acking the upgrade at once, so the
+  // handshake adds no clock of its own) — but the pool owes the window.
+  FakeBackend backend(kUpgradeAck, port);
   while (!pool.alive() &&
          Clock::now() - second_failure < std::chrono::seconds(5)) {
     pool.maintain();
@@ -288,6 +370,38 @@ TEST(BackendPool, ReconnectRespectsExponentialBackoff) {
   // backoff reconnects within ~5 ms and fails it clearly.
   EXPECT_GE(waited, std::chrono::milliseconds(80));
   pool.shutdown();
+}
+
+TEST(Router, BackendDecliningTheUpgradeIsNeverLive) {
+  // An endpoint that answers the upgrade with an error cannot carry the
+  // router's frames: every connect fails under backoff, nothing else is
+  // ever written to it, and solves get the no-live-backend error.
+  FakeBackend backend(R"({"error":"unknown op 'upgrade'"})");
+  RouterOptions options;
+  options.port = 0;
+  options.l1_mb = 0;
+  options.backoff_base_ms = 5;
+  options.backoff_max_ms = 20;
+  options.health_interval_ms = 10;
+  options.reply_timeout_seconds = 1.0;  // a solve sent here is never answered
+  options.backends.push_back("127.0.0.1:" + std::to_string(backend.port()));
+  Router router(options);
+  router.start();
+
+  service::Client client("127.0.0.1", router.port());
+  for (int i = 0; i < 3; ++i) {
+    const Reply reply(client.round_trip(R"({"pattern": "110;011;111"})"));
+    ASSERT_TRUE(reply.is_error());
+    EXPECT_NE(reply.document.find("error")->as_string().find(
+                  "no live backend"),
+              std::string::npos);
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    ASSERT_EQ(router.stats().backends.size(), 1u);
+    EXPECT_FALSE(router.stats().backends[0].alive);
+  }
+  EXPECT_GE(backend.upgrades(), 2u) << "the pool stopped retrying";
+  EXPECT_EQ(backend.bytes_after_upgrade(), 0u);
+  router.stop();
 }
 
 // ---- routing --------------------------------------------------------------
@@ -630,6 +744,57 @@ TEST(Router, EventsVerbSnapshotsTheRecorder) {
   const io::json::Value* events = reply.document.find("events");
   ASSERT_NE(events, nullptr);
   EXPECT_TRUE(events->is_array());
+}
+
+TEST(Router, WatchLosingItsBackendEndsWithAnErrorLine) {
+  // The backend accepts the solve and the watch, never answers either,
+  // then dies: the watcher must hear a terminal line, not wait forever.
+  FakeBackend backend(kUpgradeAck);
+  RouterOptions options;
+  options.port = 0;
+  options.l1_mb = 0;
+  options.backoff_base_ms = 5;
+  options.backoff_max_ms = 50;
+  options.health_interval_ms = 10;
+  options.reply_timeout_seconds = 2.0;
+  const std::string backend_endpoint =
+      "127.0.0.1:" + std::to_string(backend.port());
+  options.backends.push_back(backend_endpoint);
+  Router router(options);
+  router.start();
+  const std::string endpoint = "127.0.0.1:" + std::to_string(router.port());
+
+  namespace net = service::net;
+  const int solver = net::dial(endpoint, 2.0);
+  ASSERT_GE(solver, 0);
+  ASSERT_TRUE(net::write_line(solver, R"({"id":5,"pattern":"110;011;111"})"));
+  const int watcher = net::dial(endpoint, 2.0);
+  ASSERT_GE(watcher, 0);
+  net::LineBuffer buffer;
+  std::string line;
+  // A watch that took stays silent (this backend never streams); one
+  // that raced the dispatch is refused and retried.
+  bool subscribed = false;
+  for (int attempt = 0; attempt < 100 && !subscribed; ++attempt) {
+    ASSERT_TRUE(net::write_line(watcher, R"({"op":"watch","id":5})"));
+    if (net::read_line(watcher, buffer, line, 0.2) == net::Read::Timeout)
+      subscribed = true;
+    else
+      ASSERT_NE(line.find("no in-flight request"), std::string::npos) << line;
+  }
+  ASSERT_TRUE(subscribed);
+
+  backend.kill();
+  ASSERT_EQ(net::read_line(watcher, buffer, line, 5.0), net::Read::Ok)
+      << "the watch ended without a line";
+  const io::json::Value reply = io::json::Value::parse(line);
+  EXPECT_EQ(reply.find("id")->as_number(), 5.0);
+  ASSERT_NE(reply.find("error"), nullptr) << line;
+  EXPECT_EQ(reply.find("error")->as_string(),
+            "watch: backend '" + backend_endpoint + "' lost");
+  ::close(watcher);
+  ::close(solver);
+  router.stop();
 }
 
 TEST(Router, WatchRelaysBackendProgressFrames) {

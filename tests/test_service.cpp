@@ -538,6 +538,58 @@ TEST(Watch, ThirtyTwoWatchersOnOneSolveStartNoThreads) {
   server.stop();
 }
 
+TEST(Watch, ThirtyTwoRouterWatchersStartNoThreads) {
+  // The router relays watches over its backend pool: 32 watchers of one
+  // routed solve add neither a router thread nor a backend connection.
+  Server backend(test_options());
+  backend.start();
+  router::RouterOptions router_options;
+  router_options.port = 0;
+  router_options.l1_mb = 0;
+  router_options.backends.push_back("127.0.0.1:" +
+                                    std::to_string(backend.port()));
+  router::Router router(router_options);
+  router.start();
+
+  Client solver("127.0.0.1", router.port());
+  solver.send_line("{\"id\":0,\"pattern\":\"" + hard_pattern() +
+                   "\",\"strategy\":\"local\",\"budget\":2.0}");
+  Client probe("127.0.0.1", backend.port());
+  bool in_flight = false;
+  for (int attempt = 0; attempt < 200 && !in_flight; ++attempt) {
+    in_flight = probe.round_trip(R"({"op":"stats"})")
+                    .find("\"inflight_requests\":[{") != std::string::npos;
+    if (!in_flight) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(in_flight);
+  const int threads_before = process_threads();
+  ASSERT_GT(threads_before, 0);
+  const std::uint64_t connections_before = backend.stats().connections;
+
+  std::vector<std::unique_ptr<Client>> watchers;
+  for (int i = 0; i < 32; ++i) {
+    watchers.push_back(std::make_unique<Client>("127.0.0.1", router.port()));
+    const std::string first = subscribe_watch(*watchers.back());
+    ASSERT_FALSE(first.empty()) << "watch " << i << " never attached";
+    ASSERT_EQ(first.find("\"error\""), std::string::npos) << first;
+  }
+  EXPECT_LE(process_threads(), threads_before)
+      << "routed watches must not start threads";
+  EXPECT_EQ(backend.stats().connections, connections_before)
+      << "routed watches must not dial the backend";
+
+  for (const auto& watcher : watchers) {
+    std::string line;
+    do {
+      line = watcher->read_line();
+    } while (line.find("\"done\":true") == std::string::npos);
+  }
+  const std::string reply = solver.read_line();
+  EXPECT_EQ(reply.find("\"error\""), std::string::npos) << reply;
+  router.stop();
+  backend.stop();
+}
+
 TEST(Events, BudgetCutReplyCarriesFlightRecorderSnapshot) {
   Server server(test_options());
   server.start();

@@ -34,11 +34,11 @@ Checked metrics:
     grow past baseline (bench_service --json emits the summary line;
     sub-millisecond quantiles are skipped as scheduling noise)
   * service_connections (bench_service --connections=N --json): lost,
-    reordered, and failed-connection counts must be exactly zero — these
-    are correctness contracts of the reactor, not perf numbers, so no
-    tolerance applies — and the router->backend binary-wire A/B must keep
-    its speedup at or above the 1.5x floor (storm throughput is also
-    compared against the baseline when one exists)
+    reordered, and failed-connection counts, and the router->backend hop
+    run's errors, must be exactly zero — these are correctness contracts
+    of the reactor, not perf numbers, so no tolerance applies — and the
+    hop throughput (ab.binary_rps) and storm throughput must not drop
+    below the baseline
 
 CI runs on different hardware than the machine that wrote the baseline, so
 pass a wider --tolerance there (wall-clock scales with the machine; the
@@ -349,7 +349,7 @@ def main():
     base_conn = baseline.get("service_connections")
     cur_conn = current.get("service_connections")
     if cur_conn:
-        print("service_connections (reactor storm + backend-wire A/B):")
+        print("service_connections (reactor storm + router->backend hop):")
         # Zero lost / reordered / failed connections is a correctness
         # contract of the reactor, gated with no tolerance at all.
         for key in ("lost", "reordered", "failed_connections"):
@@ -361,18 +361,22 @@ def main():
                     f"service_connections reported {count} {key} "
                     f"({cur_conn.get('received', 0)} replies received)")
         ab = cur_conn.get("ab")
+        base_ab = (base_conn or {}).get("ab")
         if ab:
-            speedup = float(ab.get("binary_speedup", 0.0))
-            floor = 1.5
-            status = "ok" if speedup >= floor else "REGRESSION"
-            print(f"  service_connections.binary_speedup: {speedup:.2f}x "
-                  f"(floor {floor:.1f}x; JSON {ab.get('json_rps', 0):,.0f} "
-                  f"-> binary {ab.get('binary_rps', 0):,.0f} req/s) "
-                  f"[{status}]")
-            if speedup < floor:
-                failures.append(
-                    f"binary backend wire speedup fell to {speedup:.2f}x "
-                    f"(floor {floor:.1f}x)")
+            errors = ab.get("errors", 0)
+            status = "ok" if errors == 0 else "REGRESSION"
+            print(f"  service_connections.ab.errors: {errors} [{status}]")
+            if errors != 0:
+                failures.append(f"router->backend hop run reported {errors} "
+                                "errors")
+            if base_ab and base_ab.get("binary_rps"):
+                check_throughput(failures, "service_connections.ab.binary_rps",
+                                 float(base_ab["binary_rps"]),
+                                 float(ab.get("binary_rps", 0.0)),
+                                 args.tolerance)
+        elif base_ab:
+            failures.append("no router->backend hop (ab) result in the "
+                            "current run")
         if base_conn and base_conn.get("storm_rps"):
             check_throughput(failures, "service_connections.storm_rps",
                              float(base_conn["storm_rps"]),
