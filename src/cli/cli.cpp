@@ -583,19 +583,12 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
   std::uint16_t endpoint_port = 0;
   // --announce takes a comma-separated router list (a fleet is announced
   // to in full); every entry must be a dialable host:port.
-  std::size_t announce_start = 0;
-  while (announce_start < options.announce.size()) {
-    std::size_t comma = options.announce.find(',', announce_start);
-    if (comma == std::string::npos) comma = options.announce.size();
-    const std::string entry =
-        options.announce.substr(announce_start, comma - announce_start);
-    if (!entry.empty() && !service::net::parse_endpoint(entry, endpoint_host,
-                                                        endpoint_port)) {
+  for (const std::string& entry : service::net::split_list(options.announce)) {
+    if (!service::net::parse_endpoint(entry, endpoint_host, endpoint_port)) {
       err << "error: bad --announce endpoint '" << entry
           << "' (want host:port[,host:port...])\n";
       endpoints_ok = false;
     }
-    announce_start = comma + 1;
   }
   if (!options.advertise.empty() &&
       !service::net::parse_endpoint(options.advertise, endpoint_host,
@@ -635,17 +628,10 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
 /// positionals are the ergonomic spelling).
 int cmd_route(const Args& args, std::ostream& out, std::ostream& err) {
   router::RouterOptions options;
-  for (const auto& endpoint : args.positional)
-    options.backends.push_back(endpoint);
-  const std::string joined = args.get("backends", "");
-  std::size_t start = 0;
-  while (start < joined.size()) {
-    std::size_t comma = joined.find(',', start);
-    if (comma == std::string::npos) comma = joined.size();
-    if (comma > start)
-      options.backends.push_back(joined.substr(start, comma - start));
-    start = comma + 1;
-  }
+  options.backends = args.positional;
+  for (std::string& endpoint :
+       service::net::split_list(args.get("backends", "")))
+    options.backends.push_back(std::move(endpoint));
 
   FlagReader flags(args);
   const auto port = flags.count("listen", 7500);
@@ -663,15 +649,7 @@ int cmd_route(const Args& args, std::ostream& out, std::ostream& err) {
   options.dynamic = args.has("dynamic");
   // --peers: fellow routers of an HA fleet (comma-separated, this router
   // excluded). Non-empty turns on leader-lease arbitration + state sync.
-  const std::string peers = args.get("peers", "");
-  std::size_t peer_start = 0;
-  while (peer_start < peers.size()) {
-    std::size_t comma = peers.find(',', peer_start);
-    if (comma == std::string::npos) comma = peers.size();
-    if (comma > peer_start)
-      options.peers.push_back(peers.substr(peer_start, comma - peer_start));
-    peer_start = comma + 1;
-  }
+  options.peers = service::net::split_list(args.get("peers", ""));
   options.advertise = args.get("advertise", "");
   options.lease_ttl_ms = flags.num("lease-ttl-ms", 1500.0);
   options.sync_interval_ms = flags.num("sync-interval-ms", 0.0);
@@ -774,22 +752,15 @@ bool client_endpoints(const Args& args, std::uint64_t port, std::ostream& err,
                         std::to_string(port));
     return true;
   }
-  std::size_t start = 0;
-  while (start <= connect.size()) {
-    std::size_t comma = connect.find(',', start);
-    if (comma == std::string::npos) comma = connect.size();
-    const std::string entry = connect.substr(start, comma - start);
+  for (std::string& entry : service::net::split_list(connect)) {
     std::string host;
     std::uint16_t parsed_port = 0;
-    if (!entry.empty()) {
-      if (!service::net::parse_endpoint(entry, host, parsed_port)) {
-        err << "error: bad --connect endpoint '" << entry
-            << "' (want host:port[,host:port...])\n";
-        return false;
-      }
-      endpoints.push_back(entry);
+    if (!service::net::parse_endpoint(entry, host, parsed_port)) {
+      err << "error: bad --connect endpoint '" << entry
+          << "' (want host:port[,host:port...])\n";
+      return false;
     }
-    start = comma + 1;
+    endpoints.push_back(std::move(entry));
   }
   if (endpoints.empty()) {
     err << "error: --connect lists no endpoints\n";

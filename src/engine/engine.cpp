@@ -9,7 +9,6 @@
 #include "engine/thread_pool.h"
 #include "service/cache.h"
 #include "service/canon.h"
-#include "support/stopwatch.h"
 
 namespace ebmf::engine {
 
@@ -46,12 +45,14 @@ bool strictly_better(const SolveReport& a, const SolveReport& b) {
   return a.lower_bound > b.lower_bound;
 }
 
-/// Settle the anytime fields once upper_bound is final. Establishes the
-/// report contract: a matching bracket promotes to Optimal, Optimal pins
-/// lower == upper, incumbent_depth defaults to the final depth, and
-/// gap == upper − lower — so gap == 0 iff the answer is certified optimal
-/// for every solve that produced a partition.
-void finalize_anytime(SolveReport& report) {
+/// Settle the anytime fields once upper_bound is final, then check the
+/// facade's contract. Establishes the report contract: a matching bracket
+/// promotes to Optimal, Optimal pins lower == upper, incumbent_depth
+/// defaults to the final depth, and gap == upper − lower — so gap == 0 iff
+/// the answer is certified optimal for every solve that produced a
+/// partition — and every report's partition is a valid witness of
+/// `request`'s pattern.
+void finalize(SolveReport& report, const SolveRequest& request) {
   if (!report.partition.empty() &&
       report.lower_bound == report.upper_bound)
     report.status = Status::Optimal;
@@ -60,35 +61,6 @@ void finalize_anytime(SolveReport& report) {
   report.gap = report.upper_bound > report.lower_bound
                    ? report.upper_bound - report.lower_bound
                    : 0;
-}
-
-}  // namespace
-
-SolveReport Engine::run_checked(const SolveRequest& request) const {
-  const SolverRegistry::Entry* entry = registry_.find(request.strategy);
-  if (entry == nullptr)
-    throw UnknownStrategyError(request.strategy, registry_.names());
-
-  // Masked requests bypass the cache: don't-care cells are not part of the
-  // canonical form and two masks with equal DC-as-0 patterns differ.
-  if (cache_ && !request.masked) return run_cached(*entry, request);
-
-  Stopwatch total;
-  const std::uint64_t solve_start =
-      request.trace ? obs::steady_micros() : 0;
-  SolveReport report = entry->solve(request);
-  if (request.trace) {
-    request.trace->record("engine.solve", obs::new_span_id(),
-                          request.trace->context().parent_span, solve_start,
-                          obs::steady_micros());
-  }
-  report.label = request.label;
-  if (report.strategy.empty()) report.strategy = request.strategy;
-  report.upper_bound = report.depth();
-  report.total_seconds = total.seconds();
-  finalize_anytime(report);
-
-  // The facade's contract: every report's partition is a valid witness.
   if (request.masked) {
     std::string why;
     const bool at_most_once =
@@ -103,20 +75,50 @@ SolveReport Engine::run_checked(const SolveRequest& request) const {
   }
   EBMF_ENSURES(report.partition.empty() ||
                report.depth() >= report.lower_bound);
+}
+
+/// The span a traced request's engine stages parent under: the caller's
+/// enclosing span (the server's request root).
+std::uint64_t span_parent(const SolveRequest& request) {
+  return request.trace ? request.trace->context().parent_span : 0;
+}
+
+}  // namespace
+
+SolveReport Engine::run_checked(const SolveRequest& request) const {
+  const SolverRegistry::Entry* entry = registry_.find(request.strategy);
+  if (entry == nullptr)
+    throw UnknownStrategyError(request.strategy, registry_.names());
+
+  // Masked requests bypass the cache: don't-care cells are not part of the
+  // canonical form and two masks with equal DC-as-0 patterns differ.
+  if (cache_ && !request.masked) return run_cached(*entry, request);
+
+  SolveReport report;
+  obs::Phase solve({.seconds = &report.total_seconds,
+                    .trace = request.trace.get(),
+                    .span = "engine.solve",
+                    .parent = span_parent(request)});
+  report = entry->solve(request);
+  solve.end();
+  report.label = request.label;
+  if (report.strategy.empty()) report.strategy = request.strategy;
+  report.upper_bound = report.depth();
+  finalize(report, request);
   return report;
 }
 
 SolveReport Engine::run_cached(const SolverRegistry::Entry& entry,
                                const SolveRequest& request) const {
-  Stopwatch total;
-  Stopwatch phase;
-  // Traced requests get a span per stage; `span_parent` is the caller's
-  // enclosing span (the server's request root), so the engine's stages
-  // render as its children.
-  const obs::TracePtr& trace = request.trace;
-  const std::uint64_t span_parent =
-      trace ? trace->context().parent_span : 0;
-  std::uint64_t span_start = trace ? obs::steady_micros() : 0;
+  // `report` is declared first so the total can stamp it whichever answer
+  // (fresh solve or cached) ends up in it; the canon pass shares the
+  // total's entry read. Traced requests get a span per stage under the
+  // caller's enclosing span (the server's request root).
+  SolveReport report;
+  const obs::Phase::Clock::time_point start = obs::Phase::Clock::now();
+  obs::Phase total({.seconds = &report.total_seconds}, start);
+  obs::TraceRecorder* const recorder = request.trace.get();
+  const std::uint64_t parent = span_parent(request);
   // A pre-canonical request (the router's binary fast path) arrives in
   // canonical form with its 128-bit key, so there is no canon pass and the
   // lift is the identity. Lookup still compares the full stored pattern
@@ -124,12 +126,10 @@ SolveReport Engine::run_cached(const SolverRegistry::Entry& entry,
   std::optional<canon::Canonical> canonical;
   double canon_seconds = 0.0;
   if (!request.pre_canonical) {
+    const obs::Phase phase({.seconds = &canon_seconds, .trace = recorder,
+                            .span = "engine.canon", .parent = parent},
+                           start);
     canonical = canon::canonicalize(request.matrix);
-    canon_seconds = phase.seconds();
-    if (trace) {
-      trace->record("engine.canon", obs::new_span_id(), span_parent,
-                    span_start, obs::steady_micros());
-    }
   }
   const BinaryMatrix& pattern =
       canonical ? canonical->pattern : request.matrix;
@@ -143,14 +143,10 @@ SolveReport Engine::run_cached(const SolverRegistry::Entry& entry,
                  : canon::CacheKey{request.canon_hi, request.canon_lo})
           .mixed_with(request.strategy);
 
-  SolveReport report;
-  span_start = trace ? obs::steady_micros() : 0;
+  obs::Phase lookup(recorder, "engine.cache_lookup", parent);
   std::optional<cache::CachedResult> cached =
       cache_->lookup(key, request.strategy, pattern);
-  if (trace) {
-    trace->record("engine.cache_lookup", obs::new_span_id(), span_parent,
-                  span_start, obs::steady_micros());
-  }
+  lookup.end();
   // A Bounded entry is a budget-cut exact search; when this request can
   // afford meaningfully more time than the stored attempt spent, re-solve
   // and let the upgrade-only insert keep the better certificate. Optimal
@@ -170,15 +166,13 @@ SolveReport Engine::run_cached(const SolverRegistry::Entry& entry,
     if (canonical) sub.matrix = canonical->pattern;
     sub.masked.reset();
     sub.label.clear();
-    span_start = trace ? obs::steady_micros() : 0;
+    obs::Phase solve({.seconds = &report.total_seconds,  // what it cost
+                      .trace = recorder, .span = "engine.solve",
+                      .parent = parent});
     report = entry.solve(sub);
-    if (trace) {
-      trace->record("engine.solve", obs::new_span_id(), span_parent,
-                    span_start, obs::steady_micros());
-    }
+    solve.end();
     if (report.strategy.empty()) report.strategy = request.strategy;
     report.upper_bound = report.depth();
-    report.total_seconds = total.seconds();  // what this attempt cost
     cache_->insert(key, request.strategy, pattern, report);
     if (retry_for_upgrade) {
       // A retry cut short (cancellation, contention) can come back weaker
@@ -193,14 +187,10 @@ SolveReport Engine::run_cached(const SolverRegistry::Entry& entry,
   }
   if (served_from_cache) report = std::move(cached->report);
   if (canonical) {
-    phase.restart();
-    span_start = trace ? obs::steady_micros() : 0;
+    const obs::Phase phase({.timings = &report.timings, .timing = "cache.lift",
+                            .trace = recorder, .span = "engine.lift",
+                            .parent = parent});
     report.partition = canon::lift(report.partition, *canonical);
-    if (trace) {
-      trace->record("engine.lift", obs::new_span_id(), span_parent,
-                    span_start, obs::steady_micros());
-    }
-    report.add_timing("cache.lift", phase.seconds());
   }
   report.add_telemetry("cache_hit", served_from_cache ? "true" : "false");
   if (upgrade != nullptr) report.add_telemetry("cache.upgrade", upgrade);
@@ -224,13 +214,8 @@ SolveReport Engine::run_cached(const SolverRegistry::Entry& entry,
   report.add_telemetry("cache.hits", stats.hits);
   report.add_telemetry("cache.misses", stats.misses);
   report.add_telemetry("cache.evictions", stats.evictions);
-  report.total_seconds = total.seconds();
-  finalize_anytime(report);
-
-  EBMF_ENSURES(static_cast<bool>(
-      validate_partition(request.matrix, report.partition)));
-  EBMF_ENSURES(report.partition.empty() ||
-               report.depth() >= report.lower_bound);
+  total.end();
+  finalize(report, request);
   return report;
 }
 
@@ -263,12 +248,13 @@ SolveReport Engine::solve_split(const SolveRequest& request,
   if (!registry_.contains(request.strategy))
     throw UnknownStrategyError(request.strategy, registry_.names());
 
-  Stopwatch total;
-  Stopwatch phase;
+  SolveReport merged;
+  obs::Phase total({.seconds = &merged.total_seconds});
+  obs::Phase split({.timings = &merged.timings, .timing = "split"});
   const DuplicateReduction reduction = reduce_duplicates(request.matrix);
   const std::vector<Component> components =
       split_components(reduction.reduced);
-  const double split_seconds = phase.seconds();
+  split.end();
 
   // One giant component serializes the whole pool while the merge still
   // pays the reduce/lift overhead — fall back to the plain path and let the
@@ -306,11 +292,9 @@ SolveReport Engine::solve_split(const SolveRequest& request,
   parallel_for(subs.size(), threads,
                [&](std::size_t i) { reports[i] = run_checked(subs[i]); });
 
-  SolveReport merged;
   merged.label = request.label;
   merged.strategy = request.strategy;
   merged.status = Status::Optimal;
-  merged.add_timing("split", split_seconds);
   Partition reduced_partition;
   for (std::size_t c = 0; c < reports.size(); ++c) {
     Partition lifted =
@@ -332,13 +316,8 @@ SolveReport Engine::solve_split(const SolveRequest& request,
       "split.reduced_shape",
       std::to_string(reduction.reduced.rows()) + "x" +
           std::to_string(reduction.reduced.cols()));
-  merged.total_seconds = total.seconds();
-  finalize_anytime(merged);
-
-  EBMF_ENSURES(static_cast<bool>(
-      validate_partition(request.matrix, merged.partition)));
-  EBMF_ENSURES(merged.partition.empty() ||
-               merged.depth() >= merged.lower_bound);
+  total.end();
+  finalize(merged, request);
   return merged;
 }
 

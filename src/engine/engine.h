@@ -32,7 +32,8 @@
 ///  * `lower_bound` / `upper_bound` on r_B, with `partition` a valid
 ///    witness of the upper bound (the engine validates it),
 ///  * per-phase `timings` (e.g. "rank", "heuristic", "smt") and
-///    `total_seconds`,
+///    `total_seconds`, each stamped by an obs::Phase scope (obs/phase.h)
+///    — the same scope that records the stage's trace span,
 ///  * backend-specific stats as key/value `telemetry` (e.g. "sat.conflicts",
 ///    "smt.calls", "auto.selected").
 ///
@@ -72,6 +73,7 @@
 #include "core/matrix.h"
 #include "core/partition.h"
 #include "core/row_packing.h"
+#include "obs/phase.h"
 #include "obs/trace.h"
 #include "smt/label_formula.h"
 #include "support/budget.h"
@@ -136,10 +138,11 @@ struct SolveRequest {
   std::uint64_t canon_lo = 0;  ///< Canonical key, low 64 bits.
 
   /// Optional span recorder of the traced request this solve belongs to
-  /// (see obs/trace.h). When set, the engine records queue-wait, canon,
-  /// cache-lookup, solve, and lift spans into it; null (the default) costs
-  /// nothing. The recorder's context carries the parent span id the
-  /// engine's spans attach under.
+  /// (see obs/trace.h). When set, the engine's obs::Phase scopes record
+  /// canon, cache-lookup, solve, and lift spans into it next to the report
+  /// timings they already stamp; null (the default) makes the span-only
+  /// scopes inert — no clock read. The recorder's context carries the
+  /// parent span id the engine's spans attach under.
   obs::TracePtr trace;
 
   /// Convenience: a dense request.
@@ -159,11 +162,8 @@ struct SolveRequest {
   }
 };
 
-/// Wall-clock spent in one named phase of a solve.
-struct PhaseTiming {
-  std::string phase;
-  double seconds = 0.0;
-};
+/// Wall-clock spent in one named phase of a solve (obs/phase.h).
+using PhaseTiming = obs::PhaseTiming;
 
 /// The unified answer of every strategy.
 struct SolveReport {
@@ -195,8 +195,11 @@ struct SolveReport {
     return status == Status::Optimal;
   }
 
-  /// Accumulate `seconds` under `phase` (merging with an existing entry).
-  void add_timing(const std::string& phase, double seconds);
+  /// Accumulate `seconds` under `phase` (merging with an existing entry;
+  /// obs::add_timing).
+  void add_timing(const std::string& phase, double seconds) {
+    obs::add_timing(timings, phase, seconds);
+  }
 
   /// Seconds recorded under `phase` (0 when absent).
   [[nodiscard]] double timing(const std::string& phase) const;

@@ -41,16 +41,6 @@ const BinaryMatrix& SolveRequest::pattern() const {
   return masked ? masked->pattern() : matrix;
 }
 
-void SolveReport::add_timing(const std::string& phase, double seconds) {
-  for (auto& t : timings) {
-    if (t.phase == phase) {
-      t.seconds += seconds;
-      return;
-    }
-  }
-  timings.push_back(PhaseTiming{phase, seconds});
-}
-
 double SolveReport::timing(const std::string& phase) const {
   for (const auto& t : timings)
     if (t.phase == phase) return t.seconds;

@@ -23,7 +23,6 @@
 #include "local/local_search.h"
 #include "local/probe_bounds.h"
 #include "smt/sap.h"
-#include "support/stopwatch.h"
 
 namespace ebmf::engine {
 
@@ -74,15 +73,15 @@ SolveReport heuristic_report(const SolveRequest& request, Run run) {
     report.status = Status::Optimal;
     return report;
   }
-  Stopwatch phase;
+  obs::Phase rank({.timings = &report.timings, .timing = "rank"});
   report.lower_bound = real_rank(m);
-  report.add_timing("rank", phase.seconds());
+  rank.end();
 
   RowPackingOptions packing = packing_from(request);
   if (packing.stop_at == 0) packing.stop_at = report.lower_bound;
-  phase.restart();
+  obs::Phase heuristic({.timings = &report.timings, .timing = "heuristic"});
   RowPackingResult packed = run(m, packing);
-  report.add_timing("heuristic", phase.seconds());
+  heuristic.end();
   report.partition = std::move(packed.partition);
   report.status = report.partition.size() == report.lower_bound
                       ? Status::Optimal
@@ -188,12 +187,12 @@ SolveReport solve_trivial(const SolveRequest& request) {
     report.status = Status::Optimal;
     return report;
   }
-  Stopwatch phase;
+  obs::Phase rank({.timings = &report.timings, .timing = "rank"});
   report.lower_bound = real_rank(m);
-  report.add_timing("rank", phase.seconds());
-  phase.restart();
+  rank.end();
+  obs::Phase heuristic({.timings = &report.timings, .timing = "heuristic"});
   report.partition = trivial_ebmf(m);
-  report.add_timing("heuristic", phase.seconds());
+  heuristic.end();
   report.status = report.partition.size() == report.lower_bound
                       ? Status::Optimal
                       : Status::Heuristic;
@@ -208,9 +207,9 @@ SolveReport solve_brute(const SolveRequest& request) {
     report.add_telemetry("brute.completed", "1");
     return report;
   }
-  Stopwatch phase;
+  obs::Phase brute({.timings = &report.timings, .timing = "brute"});
   auto exact = brute_force_ebmf(m, 0, request.budget);
-  report.add_timing("brute", phase.seconds());
+  brute.end();
   if (exact.has_value()) {
     report.partition = std::move(exact->partition);
     report.lower_bound = exact->binary_rank;
@@ -220,14 +219,14 @@ SolveReport solve_brute(const SolveRequest& request) {
   }
   // Budget ran out mid-proof: fall back to the anytime bracket so the
   // report still carries a valid partition.
-  phase.restart();
+  obs::Phase rank({.timings = &report.timings, .timing = "rank"});
   report.lower_bound = real_rank(m);
-  report.add_timing("rank", phase.seconds());
+  rank.end();
   RowPackingOptions packing = packing_from(request);
   if (packing.stop_at == 0) packing.stop_at = report.lower_bound;
-  phase.restart();
+  obs::Phase heuristic({.timings = &report.timings, .timing = "heuristic"});
   report.partition = row_packing_ebmf(m, packing).partition;
-  report.add_timing("heuristic", phase.seconds());
+  heuristic.end();
   report.status = report.partition.size() == report.lower_bound
                       ? Status::Optimal
                       : Status::Bounded;
@@ -288,10 +287,10 @@ SolveReport solve_local(const SolveRequest& request) {
     return report;
   }
 
-  Stopwatch phase;
+  obs::Phase bounds({.timings = &report.timings, .timing = "bounds"});
   const local::BoundProbes probes =
       local::probe_lower_bounds(m, request.budget, request.seed);
-  report.add_timing("bounds", phase.seconds());
+  bounds.end();
   report.lower_bound = probes.best;
   report.add_telemetry("local.bound.source", probes.source);
   report.add_telemetry("local.bound.rank_gf2",
@@ -312,7 +311,7 @@ SolveReport solve_local(const SolveRequest& request) {
   options.max_moves = request.budget.max_nodes;  // node cap = move cap here
   options.seed_trials =
       std::clamp<std::size_t>(request.trials, std::size_t{1}, std::size_t{8});
-  phase.restart();
+  obs::Phase search({.timings = &report.timings, .timing = "search"});
   // Live progress: one frame when the bounds are known ("seed") and one per
   // improving incumbent ("search"). No-ops when nobody attached a sink.
   const std::uint64_t lower = report.lower_bound;
@@ -333,7 +332,7 @@ SolveReport solve_local(const SolveRequest& request) {
   };
   local::LocalSearchResult result =
       local::local_search_ebmf(m, options, on_incumbent);
-  report.add_timing("search", phase.seconds());
+  search.end();
   report.partition = std::move(result.partition);
   report.incumbent_depth = report.partition.size();
   {
@@ -384,9 +383,9 @@ SolveReport solve_local(const SolveRequest& request) {
     SolveRequest refine = request;
     refine.stop_at = 0;
     if (refine.smt_cell_limit == 0) refine.smt_cell_limit = kAutoSmtCellGuard;
-    phase.restart();
+    obs::Phase phase({.timings = &report.timings, .timing = "refine"});
     SolveReport exact = solve_sap(refine);
-    report.add_timing("refine", phase.seconds());
+    phase.end();
     report.add_telemetry("local.refine", to_string(exact.status));
     report.lower_bound = std::max(report.lower_bound, exact.lower_bound);
     if (!exact.partition.empty() &&

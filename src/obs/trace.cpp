@@ -10,6 +10,7 @@
 #include <mutex>
 #include <random>
 #include <unordered_map>
+#include <utility>
 
 #include "io/json.h"
 #include "support/logrotate.h"
@@ -122,7 +123,7 @@ struct TraceRecorder::Impl {
 };
 
 TraceRecorder::TraceRecorder(const TraceContext& ctx)
-    : impl_(std::make_shared<Impl>()), ctx_(ctx), created_(steady_micros()) {}
+    : impl_(std::make_shared<Impl>()), ctx_(ctx) {}
 
 std::uint64_t TraceRecorder::record(const std::string& name,
                                     std::uint64_t span_id,
@@ -145,9 +146,9 @@ void TraceRecorder::adopt(std::vector<Span> spans) {
   for (auto& s : spans) impl_->spans.push_back(std::move(s));
 }
 
-std::vector<Span> TraceRecorder::spans() const {
+std::vector<Span> TraceRecorder::take() {
   const std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->spans;
+  return std::exchange(impl_->spans, {});
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,12 @@
 /// Span timestamps are microseconds on the recording process's steady
 /// clock. Clocks are not synchronized across processes — consumers compare
 /// durations and within-process ordering, never cross-process start times.
+///
+/// Spans are recorded through one scope, obs::Phase (obs/phase.h), which
+/// feeds a stage's span, report timing and histogram from one pair of
+/// clock reads. Each tier ends a request with the shared close-out
+/// (service::net::RequestLog): it closes the root span, splices the spans
+/// into the reply, and publishes the trace to the tier's TraceStore.
 
 #include <cstdint>
 #include <memory>
@@ -76,8 +82,6 @@ class TraceRecorder {
   explicit TraceRecorder(const TraceContext& ctx);
 
   [[nodiscard]] const TraceContext& context() const noexcept { return ctx_; }
-  /// Steady micros at construction — the queue-wait span's start.
-  [[nodiscard]] std::uint64_t created_us() const noexcept { return created_; }
 
   /// Record a completed interval; returns `span_id` for parenting children.
   std::uint64_t record(const std::string& name, std::uint64_t span_id,
@@ -87,14 +91,14 @@ class TraceRecorder {
   /// Fold spans a downstream process returned (router ← backend).
   void adopt(std::vector<Span> spans);
 
-  /// Copy out everything recorded so far (spans stay for a later take()).
-  [[nodiscard]] std::vector<Span> spans() const;
+  /// Move out everything recorded so far; later records start a new batch
+  /// (the spans a request records after its reply was published).
+  [[nodiscard]] std::vector<Span> take();
 
  private:
   struct Impl;
   std::shared_ptr<Impl> impl_;
   TraceContext ctx_;
-  std::uint64_t created_;
 };
 
 using TracePtr = std::shared_ptr<TraceRecorder>;

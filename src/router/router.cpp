@@ -12,8 +12,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <csignal>
-#include <cstdio>
 #include <ctime>
 #include <map>
 #include <mutex>
@@ -45,7 +43,6 @@
 #include "router/ring.h"
 #include "service/canon.h"
 #include "service/net.h"
-#include "support/logrotate.h"
 
 namespace ebmf::router {
 
@@ -142,12 +139,13 @@ struct RouteTask {
   /// client's span the root parents under, and the pre-allocated id of the
   /// "router.dispatch" span — allocated at prepare time because the
   /// forwarded line must name it as the backend's parent before the
-  /// dispatch interval is known.
+  /// dispatch interval is known. The dispatch scope itself runs from the
+  /// first submit to the backend reply.
   obs::TracePtr trace;
   std::uint64_t root_span = 0;
   std::uint64_t remote_parent = 0;
   std::uint64_t dispatch_span = 0;
-  std::uint64_t dispatch_start_us = 0;
+  obs::Phase dispatch;
 };
 
 /// True when a reply line (with or without an id prefix) is a protocol
@@ -174,17 +172,6 @@ struct Router::Impl {
     if (options.l1_mb > 0)
       l1 = cache::ResultCache::with_capacity_mb(options.l1_mb, &registry,
                                                 "router.l1");
-    if (!options.trace_file.empty()) {
-      std::string error;
-      if (!traces.set_file(options.trace_file, &error))
-        std::fprintf(stderr, "trace-file: %s\n", error.c_str());
-    }
-    if (!options.slow_log.empty()) {
-      std::string error;
-      if (!slow_file.open(options.slow_log, &error))
-        std::fprintf(stderr, "slow-log: %s, logging to stderr\n",
-                     error.c_str());
-    }
   }
 
   RouterOptions options;
@@ -194,13 +181,11 @@ struct Router::Impl {
   obs::Registry registry;
   std::shared_ptr<cache::ResultCache> l1;
 
-  /// Completed traces this router assembled (op:trace/op:traces): its own
-  /// spans plus the backend spans folded out of each reply.
-  obs::TraceStore traces{128};
-  /// Slow-request sink (--slow-log, size-rotated); stderr when closed and
-  /// --slow-ms is on.
-  RotatingFile slow_file;
-  std::mutex slow_mutex;
+  /// The close-out every reply ends with: root span, `router.request.micros`,
+  /// --slow-log, and the trace store (op:trace/op:traces) of this router's
+  /// own spans plus the backend spans folded out of each reply.
+  net::RequestLog log{"router", registry, options.trace_file,
+                      options.slow_log, options.slow_ms};
 
   /// Where each id-carrying in-flight solve currently lives: the client's
   /// id → (serving backend endpoint, the router-assigned forwarded id).
@@ -232,9 +217,8 @@ struct Router::Impl {
   obs::Counter* forwards = registry.counter("router.forwards");
   obs::Counter* syncs_sent = registry.counter("router.peer.syncs");
   obs::Counter* syncs_applied = registry.counter("router.peer.syncs_applied");
-  obs::Gauge* inflight_gauge = registry.gauge("router.inflight");
-  obs::Histogram* request_micros =
-      registry.histogram("router.request.micros");
+  net::Admission gate{options.max_inflight, registry.gauge("router.inflight"),
+                      rejected};
 
   // -- cluster state -----------------------------------------------------
   // `cluster_mutex` serializes membership mutation + view publication (so
@@ -266,28 +250,6 @@ struct Router::Impl {
   std::thread health_thread;
 
   std::atomic<std::uint64_t> next_id{1};
-  /// The admission gate (try_admit reads the old value it adds to).
-  std::atomic<std::size_t> inflight{0};
-
-  bool try_admit() {
-    const std::size_t limit = options.max_inflight;
-    const std::size_t current =
-        inflight.fetch_add(1, std::memory_order_relaxed);
-    if (limit != 0 && current >= limit) {
-      inflight.fetch_sub(1, std::memory_order_relaxed);
-      return false;
-    }
-    inflight_gauge->add(1);
-    return true;
-  }
-
-  void release_admitted(std::size_t count) {
-    if (count > 0) {
-      inflight.fetch_sub(count, std::memory_order_relaxed);
-      inflight_gauge->add(-static_cast<std::int64_t>(count));
-    }
-  }
-
   /// One backend row of a stats report: pool handle + membership flavor.
   struct BackendSnapshot {
     std::string endpoint;
@@ -310,8 +272,6 @@ struct Router::Impl {
   RouterStats counts() const;
   std::string stats_json(std::int64_t id) const;
   std::string fleet_metrics_json(std::int64_t id);
-  void log_slow(const RouteTask& task, double elapsed_ms,
-                const std::string& trace_hex);
   void register_watch(const RouteTask& task);
   void unregister_watch(const RouteTask& task);
   void handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
@@ -707,12 +667,9 @@ void Router::Impl::sync_loop() {
       // A takeover is the failover event the HA drill measures: record it
       // as a single-span trace so `{"op":"traces"}` shows when it happened
       // and which term it won.
-      const std::uint64_t now_us = obs::steady_micros();
-      obs::TraceContext ctx = obs::make_trace_context();
-      obs::TraceRecorder recorder(ctx);
-      recorder.record("router.lease.takeover", obs::new_span_id(), 0, now_us,
-                      obs::steady_micros());
-      traces.add(ctx.hi, ctx.lo, recorder.spans());
+      obs::TraceRecorder takeover(obs::make_trace_context());
+      obs::Phase(&takeover, "router.lease.takeover", 0).end();
+      log.publish(takeover);
     } else {
       lease_renewed->add(1);
     }
@@ -787,7 +744,7 @@ std::string Router::Impl::stats_json(std::int64_t id) const {
       << ",\"requests\":" << stats.requests << ",\"errors\":" << stats.errors
       << ",\"rejected\":" << stats.rejected << ",\"l1_hits\":" << stats.l1_hits
       << ",\"failovers\":" << stats.failovers
-      << ",\"inflight\":" << inflight.load(std::memory_order_relaxed)
+      << ",\"inflight\":" << gate.inflight()
       << ",\"max_inflight\":" << options.max_inflight << "}";
   out << ",\"cluster\":{\"dynamic\":" << (options.dynamic ? "true" : "false")
       << ",\"epoch\":" << stats.epoch << ",\"members\":" << stats.members
@@ -832,51 +789,6 @@ std::string Router::Impl::stats_json(std::int64_t id) const {
   out << "],\"metrics\":" << obs::metrics_json(registry);
   out << "}";
   return out.str();
-}
-
-/// One slow-request JSON line: wall-clock, trace id (when traced), who
-/// served it, the canonical key, strategy, and the recorder's span
-/// durations — enough to pull the full tree via `{"op":"trace"}`.
-void Router::Impl::log_slow(const RouteTask& task, double elapsed_ms,
-                            const std::string& trace_hex) {
-  std::ostringstream line;
-  line << "{\"slow\":true,\"tier\":\"router\",\"ms\":"
-       << io::json::number(elapsed_ms);
-  if (!task.strategy.empty())
-    line << ",\"strategy\":\"" << io::json::escape(task.strategy) << "\"";
-  if (!task.label.empty())
-    line << ",\"label\":\"" << io::json::escape(task.label) << "\"";
-  if (!trace_hex.empty())
-    line << ",\"trace\":\"" << trace_hex << "\"";
-  if (task.canonical_mode)
-    line << ",\"canon_key\":\""
-         << obs::trace_id_hex(task.canonical.key.hi, task.canonical.key.lo)
-         << "\"";
-  if (task.forwarded && !task.preference.empty())
-    line << ",\"backend\":\""
-         << io::json::escape(task.preference[task.preference_cursor]) << "\"";
-  if (task.failovers > 0) line << ",\"failovers\":" << task.failovers;
-  if (task.trace) {
-    line << ",\"spans\":{";
-    const std::vector<obs::Span> spans = task.trace->spans();
-    for (std::size_t i = 0; i < spans.size(); ++i) {
-      if (i != 0) line << ",";
-      line << "\"" << io::json::escape(spans[i].name)
-           << "\":" << spans[i].dur_us;
-    }
-    line << "}";
-  }
-  // The flight recorder's recent tail rides along: what the router (pool
-  // reconnects, waves of failovers) was doing while this request crawled.
-  line << ",\"events\":" << obs::events_json(obs::snapshot_events(32));
-  line << "}";
-  if (slow_file.is_open()) {
-    slow_file.write_line(line.str());
-    return;
-  }
-  std::lock_guard<std::mutex> lock(slow_mutex);
-  std::fprintf(stderr, "%s\n", line.str().c_str());
-  std::fflush(stderr);
 }
 
 /// `{"op":"metrics","scope":"fleet"}`: scrape every backend and peer
@@ -1125,43 +1037,18 @@ void Router::Impl::handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
 void Router::Impl::prepare_task(const rnet::Message& message,
                                 RouteTask& task) {
   task.mode = message.mode;
+  task.binary_solve = message.mode == rnet::WireMode::Binary &&
+                      message.frame_type == rnet::kFrameSolveRequest;
   io::WireRequest wire;
-  if (message.mode == rnet::WireMode::Binary &&
-      message.frame_type == rnet::kFrameSolveRequest) {
-    task.binary_solve = true;
-    try {
-      wire = io::parse_binary_request(message.payload);
-    } catch (const std::exception& e) {
-      task.client_id = io::binary_salvage_id(message.payload);
-      resolve_error(task, e.what());
-      return;
-    }
-  } else if (message.mode == rnet::WireMode::Binary &&
-             message.frame_type != rnet::kFrameJson) {
-    resolve_json(task,
-                 error_json("unexpected frame type " +
-                                std::to_string(message.frame_type) +
-                                " (clients send solve or json frames)",
-                            ""),
-                 true);
-    return;
-  } else {
-    // A request line, or the identical JSON text in a type-4 frame.
-    if (message.payload.find_first_not_of(" \t") == std::string::npos) {
-      task.skip = true;
-      return;
-    }
-    try {
-      wire = io::parse_wire_request(message.payload);
-    } catch (const std::exception& e) {
-      resolve_json(task,
-                   error_json(e.what(), "",
-                              io::salvage_request_id(message.payload)),
-                   true);
-      return;
-    }
-  }
+  std::string error;
+  const net::Intake intake = net::parse_message(message, wire, error);
   task.client_id = wire.id;
+  task.skip = intake == net::Intake::Blank;
+  if (intake == net::Intake::Upgrade)
+    resolve_json(task, net::with_id_prefix("{\"upgraded\":true}", wire.id),
+                 false);
+  if (intake == net::Intake::Error) resolve_error(task, error);
+  if (intake != net::Intake::Request) return;
   if (wire.op == io::WireOp::Stats) {
     resolve_json(task, stats_json(wire.id), false);
     return;
@@ -1183,62 +1070,25 @@ void Router::Impl::prepare_task(const rnet::Message& message,
     resolve_json(task, net::metrics_reply(registry, wire.id), false);
     return;
   }
-  if (wire.op == io::WireOp::Events) {
-    // The router's own flight recorder: pool reconnects and whatever else
-    // this process's rings hold, merged and tick-ordered.
-    std::ostringstream reply;
-    reply << "{";
-    if (wire.id >= 0) reply << "\"id\":" << wire.id << ",";
-    reply << "\"events\":" << obs::events_json(obs::snapshot_events()) << "}";
-    resolve_json(task, reply.str(), false);
-    return;
-  }
   if (wire.op == io::WireOp::Watch) {
     // Relayed from the reply loop (it owns the client fd for streaming).
     task.watch = true;
     return;
   }
-  if (wire.op == io::WireOp::Trace) {
-    std::uint64_t hi = 0;
-    std::uint64_t lo = 0;
-    obs::parse_trace_id(wire.trace_id, &hi, &lo);
-    const std::vector<obs::Span> spans = traces.find(hi, lo);
-    if (spans.empty()) {
-      resolve_json(task, error_json("unknown trace id", "", wire.id), true);
-    } else {
-      resolve_json(task, obs::trace_tree_json(wire.trace_id, spans), false);
-    }
-    return;
-  }
-  if (wire.op == io::WireOp::Traces) {
-    std::ostringstream reply;
-    reply << "{";
-    if (wire.id >= 0) reply << "\"id\":" << wire.id << ",";
-    reply << "\"traces\":[";
-    const auto recent = traces.recent(32);
-    for (std::size_t t = 0; t < recent.size(); ++t) {
-      if (t != 0) reply << ",";
-      reply << "{\"id\":\"" << recent[t].id << "\",\"root\":\""
-            << io::json::escape(recent[t].root)
-            << "\",\"dur_us\":" << recent[t].dur_us
-            << ",\"spans\":" << recent[t].spans << "}";
-    }
-    reply << "]}";
-    resolve_json(task, reply.str(), false);
-    return;
-  }
-  if (wire.op == io::WireOp::Join || wire.op == io::WireOp::Leave ||
-      wire.op == io::WireOp::Heartbeat) {
-    std::string reply = handle_membership(wire);
-    const bool is_error = is_error_reply(reply);
-    resolve_json(task, std::move(reply), is_error);
-    return;
-  }
-  if (wire.op == io::WireOp::PeerHello || wire.op == io::WireOp::PeerLease ||
-      wire.op == io::WireOp::PeerSync) {
-    std::string reply = handle_peer(wire);
-    const bool is_error = is_error_reply(reply);
-    resolve_json(task, std::move(reply), is_error);
+  // Answered inline: this router's flight recorder (pool reconnects and
+  // whatever else its rings hold) or trace store, or a control-plane verb.
+  using Op = io::WireOp;
+  const Op op = wire.op;
+  std::optional<std::string> reply;
+  if (op == Op::Events || op == Op::Trace || op == Op::Traces)
+    reply = net::observability_reply(wire, log.traces);
+  else if (op == Op::Join || op == Op::Leave || op == Op::Heartbeat)
+    reply = handle_membership(wire);
+  else if (op == Op::PeerHello || op == Op::PeerLease || op == Op::PeerSync)
+    reply = handle_peer(wire);
+  if (reply) {
+    const bool is_error = is_error_reply(*reply);
+    resolve_json(task, std::move(*reply), is_error);
     return;
   }
   if (wire.op == io::WireOp::Put) {
@@ -1251,11 +1101,8 @@ void Router::Impl::prepare_task(const rnet::Message& message,
   }
   task.label = wire.request.label;
   task.include_partition = wire.include_partition;
-  if (!try_admit()) {
-    rejected->add(1);
-    resolve_error(task,
-                  "overloaded: " + std::to_string(options.max_inflight) +
-                      " requests already in flight");
+  if (!gate.try_admit()) {
+    resolve_error(task, gate.overloaded());
     return;
   }
   task.admitted = true;
@@ -1298,11 +1145,9 @@ void Router::Impl::prepare_task(const rnet::Message& message,
 
   task.canonical_mode = true;
   task.original = wire.request.matrix;
-  std::uint64_t span_start = obs::steady_micros();
+  obs::Phase canon(task.trace.get(), "router.canon", task.root_span);
   task.canonical = canon::canonicalize(wire.request.matrix);
-  if (task.trace)
-    task.trace->record("router.canon", obs::new_span_id(), task.root_span,
-                       span_start, obs::steady_micros());
+  canon.end();
   task.strategy = wire.request.strategy;
   task.l1_key = task.canonical.key.mixed_with(task.strategy);
   // Shard by the pattern alone (not the strategy): every view of one
@@ -1331,12 +1176,10 @@ void Router::Impl::prepare_task(const rnet::Message& message,
   if (hot.promoted_now) promotions->add(1);
 
   if (l1) {
-    span_start = obs::steady_micros();
+    obs::Phase lookup(task.trace.get(), "router.l1", task.root_span);
     std::optional<cache::CachedResult> hit =
         l1->lookup(task.l1_key, task.strategy, task.canonical.pattern);
-    if (task.trace)
-      task.trace->record("router.l1", obs::new_span_id(), task.root_span,
-                         span_start, obs::steady_micros());
+    lookup.end();
     if (hit) {
       engine::SolveReport report = std::move(hit->report);
       // A key promoted off an L1 repeat still warms its replicas — that is
@@ -1371,7 +1214,10 @@ bool Router::Impl::dispatch(RouteTask& task) {
   task.pending = std::make_shared<PendingReply>();
   task.view = views.current();
   task.preference = task.view->ordered(task.route_key);
-  task.dispatch_start_us = obs::steady_micros();
+  // Submit → reply received: the backend exchange the server's own
+  // "server.request" span (folded in finalize_reply) nests under.
+  task.dispatch = obs::Phase(task.trace.get(), "router.dispatch",
+                             task.root_span, task.dispatch_span);
   task.backend_frame =
       task.passthrough
           ? rnet::encode_frame(rnet::kFrameJson,
@@ -1390,6 +1236,7 @@ bool Router::Impl::dispatch(RouteTask& task) {
       return true;
     }
   }
+  task.dispatch.discard();
   resolve_error(task, "no live backend (" +
                           std::to_string(task.view->size()) + " members)");
   return false;
@@ -1402,7 +1249,11 @@ bool Router::Impl::dispatch(RouteTask& task) {
 std::string Router::Impl::await_reply(RouteTask& task) {
   // Each failover re-walks the preference list from the slot after the
   // one that failed; a bounded number of total attempts guards against a
-  // backend that accepts and immediately breaks, forever.
+  // backend that accepts and immediately breaks, forever. A backend that
+  // timed out is never resubmitted to (with one member, or two silent
+  // ones, the walk would otherwise wait out the same silence again); a
+  // broken connection may be, because the pool reconnects.
+  std::vector<bool> timed_out;
   std::size_t attempts = 0;
   const std::size_t max_attempts = 2 * task.preference.size() + 2;
   while (attempts++ < max_attempts) {
@@ -1433,6 +1284,8 @@ std::string Router::Impl::await_reply(RouteTask& task) {
         task.reply_frame_type = task.pending->frame_type;
         return task.pending->line;
       }
+      timed_out.resize(task.preference.size());
+      timed_out[task.preference_cursor] = true;
     }
     if (stopping.load(std::memory_order_relaxed)) break;
     // The serving backend broke (or hung): resubmit to the next live one.
@@ -1442,6 +1295,7 @@ std::string Router::Impl::await_reply(RouteTask& task) {
     for (std::size_t step = 1; step <= task.preference.size(); ++step) {
       const std::size_t i =
           (task.preference_cursor + step) % task.preference.size();
+      if (!timed_out.empty() && timed_out[i]) continue;
       const std::shared_ptr<BackendPool> pool = pool_for(task.preference[i]);
       if (!pool) continue;
       task.pending->reset();
@@ -1463,11 +1317,7 @@ std::string Router::Impl::await_reply(RouteTask& task) {
 /// JSON line when `reply_frame_type` is 0 (passthroughs), a raw type-2/3
 /// frame payload otherwise. Empty raw means every backend was exhausted.
 void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
-  if (task.trace && task.forwarded)
-    // Submit → reply received, the backend exchange the server's own
-    // "server.request" span (folded below) nests under.
-    task.trace->record("router.dispatch", task.dispatch_span, task.root_span,
-                       task.dispatch_start_us, obs::steady_micros());
+  task.dispatch.end();
   if (raw.empty()) {
     resolve_error(task, "all backends unavailable");
     return;
@@ -1538,11 +1388,8 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
         (cache_hit != nullptr && *cache_hit == "false"))
       replicate(task, report);
   }
-  const std::uint64_t lift_start = obs::steady_micros();
+  const obs::Phase lift(task.trace.get(), "router.lift", task.root_span);
   resolve_report(task, std::move(report), endpoint.c_str());
-  if (task.trace)
-    task.trace->record("router.lift", obs::new_span_id(), task.root_span,
-                       lift_start, obs::steady_micros());
 }
 
 /// One micro-batch: prepare every message, dispatch the forwards (they
@@ -1552,26 +1399,12 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
 /// tier sizes io_workers far above the serve tier's pool.
 void Router::Impl::process_batch(const rnet::ConnPtr& conn,
                                  std::vector<rnet::Message> messages) {
-  const std::uint64_t batch_start_us = obs::steady_micros();
+  const obs::Phase::Clock::time_point batch_start = obs::Phase::Clock::now();
   std::vector<RouteTask> tasks(messages.size());
   std::size_t admitted = 0;
   for (std::size_t i = 0; i < messages.size(); ++i) {
     RouteTask& task = tasks[i];
-    const rnet::Message& m = messages[i];
-    if (m.upgrade) {
-      // The negotiation ack: the extractor already flipped the input
-      // framing, so this is the connection's last line-framed reply.
-      task.mode = m.mode;
-      const std::int64_t id = io::salvage_request_id(m.payload);
-      task.client_id = id;
-      resolve_json(task,
-                   id >= 0 ? "{\"id\":" + std::to_string(id) +
-                                 ",\"upgraded\":true}"
-                           : "{\"upgraded\":true}",
-                   false);
-      continue;
-    }
-    prepare_task(m, task);
+    prepare_task(messages[i], task);
     if (task.admitted) ++admitted;
     if (task.admitted && !task.resolved) dispatch(task);
   }
@@ -1597,42 +1430,29 @@ void Router::Impl::process_batch(const rnet::ConnPtr& conn,
     else if (task.admitted)
       requests->add(1);
 
-    const std::uint64_t done_us = obs::steady_micros();
-    const std::uint64_t elapsed_us = done_us - batch_start_us;
-    std::string trace_hex;
-    std::string spans_json;
-    if (task.trace) {
-      // Close the root span, attach the assembled spans (router's own +
-      // the backend's, folded in finalize_reply) to the reply, and publish
-      // the trace before the send so an immediate {"op":"trace"} on
-      // another connection finds it.
-      const obs::TraceContext& ctx = task.trace->context();
-      trace_hex = obs::trace_id_hex(ctx.hi, ctx.lo);
-      task.trace->record("router.request", task.root_span, task.remote_parent,
-                         task.trace->created_us(), done_us);
-      std::vector<obs::Span> spans = task.trace->spans();
-      // Passthrough replies are forwarded verbatim and already carry the
-      // backend's own trace member; splicing a second one would duplicate
-      // the key. Their router spans live in the local store only.
-      if (!is_error && !task.passthrough) {
-        if (task.binary_solve) {
-          // The spans array rides the type-2 payload itself.
-          spans_json = obs::spans_json(spans);
-        } else if (!task.immediate.empty() && task.immediate.back() == '}') {
-          task.immediate.pop_back();
-          task.immediate += ",\"trace\":{\"id\":\"" + trace_hex +
-                            "\",\"spans\":" + obs::spans_json(spans) + "}}";
-        }
-      }
-      traces.add(ctx.hi, ctx.lo, std::move(spans));
-    }
-    if (task.admitted) {
-      request_micros->record(elapsed_us);
-      if (options.slow_ms > 0) {
-        const double elapsed_ms = static_cast<double>(elapsed_us) / 1000.0;
-        if (elapsed_ms >= options.slow_ms)
-          log_slow(task, elapsed_ms, trace_hex);
-      }
+    // Close the root span and the latency sample, and publish the trace
+    // (router spans + the backend's, folded in finalize_reply) before the
+    // send. Passthrough replies are forwarded verbatim and already carry
+    // the backend's own trace member; their router spans live in the local
+    // store only.
+    const net::RequestLog::Closed closed =
+        log.close(task.trace.get(), task.root_span, task.remote_parent,
+                  batch_start, task.admitted);
+    if (!is_error && !task.passthrough && !task.binary_solve)
+      closed.splice_into(task.immediate);
+    if (closed.slow) {
+      const std::string key = task.canonical_mode
+                                  ? obs::trace_id_hex(task.canonical.key.hi,
+                                                      task.canonical.key.lo)
+                                  : "";
+      net::RequestLog::SlowLine line{
+          .strategy = task.strategy, .label = task.label, .canon_key = key};
+      if (task.forwarded)  // who served it
+        line.extra.emplace_back("backend", "\"" + io::json::escape(
+            task.preference[task.preference_cursor]) + "\"");
+      if (task.failovers > 0)
+        line.extra.emplace_back("failovers", std::to_string(task.failovers));
+      log.log_slow(closed, line);
     }
 
     if (task.binary_solve) {
@@ -1645,7 +1465,7 @@ void Router::Impl::process_batch(const rnet::ConnPtr& conn,
                          *task.final_report, task.include_partition,
                          task.client_id, task.original.rows(),
                          task.original.cols(), task.backend_events,
-                         spans_json);
+                         closed.spans_json);
       conn->send(rnet::encode_frame(out_type, payload));
     } else {
       conn->send(framed_json(task.mode, task.immediate));
@@ -1654,7 +1474,7 @@ void Router::Impl::process_batch(const rnet::ConnPtr& conn,
     // a closed connection is a harmless no-op) so admission slots and
     // pending ids retire cleanly.
   }
-  release_admitted(admitted);
+  gate.release(admitted);
 }
 
 void Router::Impl::health_loop() {
@@ -1768,13 +1588,7 @@ void Router::start() {
                                std::vector<rnet::Message> messages) {
     impl.process_batch(conn, std::move(messages));
   };
-  callbacks.protocol_error_reply = [](rnet::WireMode mode,
-                                      const std::string& message) {
-    if (mode == rnet::WireMode::Line)
-      return error_json(message, "") + "\n";
-    return rnet::encode_frame(rnet::kFrameError,
-                              io::binary_error_payload(-1, message, ""));
-  };
+  callbacks.protocol_error_reply = net::protocol_error_reply;
 
   impl.reactor = std::make_unique<rnet::ReactorServer>(
       std::move(reactor_options), std::move(callbacks));
@@ -1826,8 +1640,7 @@ void Router::stop() {
   for (const auto& pool : snapshot) pool->shutdown();
   // Drain the observability sinks: the tail of the slow log and trace file
   // must survive the SIGTERM that triggered this stop.
-  impl.slow_file.flush();
-  impl.traces.flush();
+  impl.log.flush();
   impl.running = false;
 }
 
@@ -1858,26 +1671,10 @@ const std::shared_ptr<cache::ResultCache>& Router::l1() const noexcept {
 
 // ---- route_forever --------------------------------------------------------
 
-namespace {
-
-volatile std::sig_atomic_t g_signal = 0;
-
-void on_signal(int sig) { g_signal = sig; }
-
-}  // namespace
-
 int route_forever(const RouterOptions& options, std::ostream& log) {
   Router router(options);
 
-  if (!options.cache_file.empty() && router.l1()) {
-    std::string warning;
-    const std::size_t loaded =
-        router.l1()->load_file(options.cache_file, &warning);
-    if (!warning.empty()) log << "cache-file: " << warning << std::endl;
-    if (loaded > 0)
-      log << "cache-file: reloaded " << loaded << " entries from "
-          << options.cache_file << std::endl;
-  }
+  cache::reload_snapshot(router.l1().get(), options.cache_file, log);
 
   try {
     router.start();
@@ -1886,13 +1683,7 @@ int route_forever(const RouterOptions& options, std::ostream& log) {
     return 1;
   }
 
-  g_signal = 0;
-  struct sigaction action{};
-  action.sa_handler = on_signal;
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::sigaction(SIGINT, &action, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);
-
+  net::trap_signals();
   log << "ebmf router listening on " << options.host << ":" << router.port()
       << " over " << options.backends.size() << " static backends"
       << (options.dynamic ? " (dynamic: join/leave/heartbeat enabled)" : "")
@@ -1906,12 +1697,7 @@ int route_forever(const RouterOptions& options, std::ostream& log) {
     log << std::endl;
   }
 
-  while (g_signal == 0) {
-    timespec nap{0, 100 * 1000 * 1000};
-    ::nanosleep(&nap, nullptr);
-  }
-
-  log << "signal " << static_cast<int>(g_signal) << " received, draining"
+  log << "signal " << net::await_signal() << " received, draining"
       << std::endl;
   router.stop();
   const RouterStats stats = router.stats();
@@ -1939,15 +1725,7 @@ int route_forever(const RouterOptions& options, std::ostream& log) {
         << backend.requests << " requests, " << backend.failures
         << " failures" << std::endl;
 
-  if (!options.cache_file.empty() && router.l1()) {
-    std::string error;
-    if (router.l1()->save_file(options.cache_file, &error)) {
-      log << "cache-file: saved " << router.l1()->stats().entries
-          << " entries to " << options.cache_file << std::endl;
-    } else {
-      log << "cache-file: " << error << std::endl;
-    }
-  }
+  cache::save_snapshot(router.l1().get(), options.cache_file, log);
   return 0;
 }
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <list>
 #include <mutex>
+#include <ostream>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "io/request_io.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
+#include "obs/phase.h"
 
 namespace ebmf::cache {
 
@@ -149,7 +151,7 @@ std::optional<CachedResult> ResultCache::lookup(
     const canon::CacheKey& key, const std::string& strategy,
     const BinaryMatrix& canonical_pattern) {
   Shard& shard = impl_->shard_for(key);
-  const std::uint64_t start_us = obs::steady_micros();
+  const obs::Phase timed({.histogram = impl_->lookup_micros});
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.index.find(key);
@@ -158,12 +160,10 @@ std::optional<CachedResult> ResultCache::lookup(
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       CachedResult result{it->second->report};
       impl_->hits->add();
-      impl_->lookup_micros->record(obs::steady_micros() - start_us);
       return result;
     }
   }
   impl_->misses->add();
-  impl_->lookup_micros->record(obs::steady_micros() - start_us);
   return std::nullopt;
 }
 
@@ -231,6 +231,28 @@ std::string stats_json(const ResultCache* cache) {
       << ",\"entries\":" << stats.entries << ",\"bytes\":" << stats.bytes
       << ",\"capacity_bytes\":" << cache->capacity_bytes() << "}";
   return out.str();
+}
+
+void reload_snapshot(ResultCache* cache, const std::string& path,
+                     std::ostream& log) {
+  if (cache == nullptr || path.empty()) return;
+  std::string warning;
+  const std::size_t loaded = cache->load_file(path, &warning);
+  if (!warning.empty()) log << "cache-file: " << warning << std::endl;
+  if (loaded > 0)
+    log << "cache-file: reloaded " << loaded << " entries from " << path
+        << std::endl;
+}
+
+void save_snapshot(const ResultCache* cache, const std::string& path,
+                   std::ostream& log) {
+  if (cache == nullptr || path.empty()) return;
+  std::string error;
+  if (cache->save_file(path, &error))
+    log << "cache-file: saved " << cache->stats().entries << " entries to "
+        << path << std::endl;
+  else
+    log << "cache-file: " << error << std::endl;
 }
 
 void ResultCache::clear() {

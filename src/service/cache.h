@@ -28,6 +28,7 @@
 /// telemetry by the engine's cache hook.
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -140,5 +141,13 @@ class ResultCache {
 /// The `{"op":"stats"}` object of `cache` — its CacheStats plus
 /// `capacity_bytes` — or `null` when there is no cache.
 [[nodiscard]] std::string stats_json(const ResultCache* cache);
+
+/// `--cache-file` around a serve loop: reload the previous run's snapshot
+/// before serving, save the drained cache after, each step logged as a
+/// `cache-file:` line. No-ops without a cache or a path.
+void reload_snapshot(ResultCache* cache, const std::string& path,
+                     std::ostream& log);
+void save_snapshot(const ResultCache* cache, const std::string& path,
+                   std::ostream& log);
 
 }  // namespace ebmf::cache

@@ -1,5 +1,6 @@
 // Shared socket + line-framing plumbing for the server, client, and router,
-// and the one timed blocking exchange the control plane uses.
+// the one timed blocking exchange the control plane uses, the admin replies
+// both tiers answer alike, and the request close-out both tiers share.
 
 #include "service/net.h"
 
@@ -12,13 +13,22 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
+#include <ctime>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <stdexcept>
 
+#include "io/binary_io.h"
 #include "io/json.h"
+#include "io/request_io.h"
+#include "net/reactor.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
 #include "support/fault.h"
 
@@ -52,13 +62,200 @@ std::string scrape_text(const obs::Registry& instance) {
 }
 
 std::string metrics_reply(const obs::Registry& instance, std::int64_t id) {
-  std::string out = "{";
-  if (id >= 0) out += "\"id\":" + std::to_string(id) + ",";
-  out +=
-      "\"metrics\":true,\"content_type\":\"text/plain; version=0.0.4\","
-      "\"body\":\"" +
-      io::json::escape(scrape_text(instance)) + "\"}";
+  return with_id_prefix(
+      "{\"metrics\":true,\"content_type\":\"text/plain; version=0.0.4\","
+      "\"body\":\"" + io::json::escape(scrape_text(instance)) + "\"}",
+      id);
+}
+
+Intake parse_message(const ebmf::net::Message& message, io::WireRequest& wire,
+                     std::string& error) {
+  const bool binary = message.mode == ebmf::net::WireMode::Binary;
+  const bool solve_frame =
+      binary && message.frame_type == ebmf::net::kFrameSolveRequest;
+  try {
+    if (message.upgrade) {
+      wire.id = io::salvage_request_id(message.payload);
+      return Intake::Upgrade;
+    }
+    if (solve_frame) {
+      wire = io::parse_binary_request(message.payload);
+      return Intake::Request;
+    }
+    if (binary && message.frame_type != ebmf::net::kFrameJson) {
+      error = "unexpected frame type " + std::to_string(message.frame_type) +
+              " (clients send solve or json frames)";
+      return Intake::Error;
+    }
+    if (message.payload.find_first_not_of(" \t") == std::string::npos)
+      return Intake::Blank;
+    wire = io::parse_wire_request(message.payload);
+    return Intake::Request;
+  } catch (const std::exception& e) {
+    error = e.what();
+    wire.id = solve_frame ? io::binary_salvage_id(message.payload)
+                          : io::salvage_request_id(message.payload);
+    return Intake::Error;
+  }
+}
+
+std::string protocol_error_reply(ebmf::net::WireMode mode,
+                                 const std::string& message) {
+  if (mode == ebmf::net::WireMode::Line) return error_json(message, "") + "\n";
+  return ebmf::net::encode_frame(ebmf::net::kFrameError,
+                                 io::binary_error_payload(-1, message, ""));
+}
+
+namespace {
+volatile std::sig_atomic_t g_signal = 0;
+void on_signal(int sig) { g_signal = sig; }
+}  // namespace
+
+void trap_signals() {
+  g_signal = 0;
+  struct sigaction action{};
+  action.sa_handler = on_signal;
+  ::sigaction(SIGTERM, &action, nullptr);
+  ::sigaction(SIGINT, &action, nullptr);
+  ::signal(SIGPIPE, SIG_IGN);  // all writers already use MSG_NOSIGNAL
+}
+
+int await_signal() {
+  while (g_signal == 0) {
+    timespec nap{0, 100 * 1000 * 1000};
+    ::nanosleep(&nap, nullptr);
+  }
+  return g_signal;
+}
+
+std::string observability_reply(const io::WireRequest& wire,
+                                const obs::TraceStore& traces) {
+  if (wire.op == io::WireOp::Trace) {
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
+    obs::parse_trace_id(wire.trace_id, &hi, &lo);
+    const std::vector<obs::Span> spans = traces.find(hi, lo);
+    return spans.empty() ? error_json("unknown trace id", "", wire.id)
+                         : obs::trace_tree_json(wire.trace_id, spans);
+  }
+  std::ostringstream reply;
+  if (wire.op == io::WireOp::Events) {
+    reply << "{\"events\":" << obs::events_json(obs::snapshot_events())
+          << "}";
+  } else {
+    reply << "{\"traces\":[";
+    const std::vector<obs::TraceStore::Summary> recent = traces.recent(32);
+    for (std::size_t t = 0; t < recent.size(); ++t) {
+      if (t != 0) reply << ",";
+      reply << "{\"id\":\"" << recent[t].id << "\",\"root\":\""
+            << io::json::escape(recent[t].root)
+            << "\",\"dur_us\":" << recent[t].dur_us
+            << ",\"spans\":" << recent[t].spans << "}";
+    }
+    reply << "]}";
+  }
+  return with_id_prefix(reply.str(), wire.id);
+}
+
+void append_member(std::string& json, const char* key,
+                   const std::string& value) {
+  if (json.empty() || json.back() != '}') return;
+  json.pop_back();
+  json.append(",\"").append(key).append("\":").append(value).push_back('}');
+}
+
+RequestLog::RequestLog(const char* tier, obs::Registry& registry,
+                       const std::string& trace_file,
+                       const std::string& slow_log, double slow_ms)
+    : tier_(tier),
+      root_span_(std::string(tier) + ".request"),
+      request_micros_(registry.histogram(root_span_ + ".micros")),
+      slow_ms_(slow_ms) {
+  std::string error;
+  if (!trace_file.empty() && !traces.set_file(trace_file, &error))
+    std::fprintf(stderr, "trace-file: %s\n", error.c_str());
+  if (!slow_log.empty() && !slow_file_.open(slow_log, &error))
+    std::fprintf(stderr, "slow-log: %s, logging to stderr\n", error.c_str());
+}
+
+void RequestLog::Closed::splice_into(std::string& reply) const {
+  if (!trace_hex.empty())
+    append_member(reply, "trace",
+                  "{\"id\":\"" + trace_hex + "\",\"spans\":" + spans_json +
+                      "}");
+}
+
+RequestLog::Closed RequestLog::close(obs::TraceRecorder* trace,
+                                     std::uint64_t root_span,
+                                     std::uint64_t parent,
+                                     obs::Phase::Clock::time_point start,
+                                     bool counted) {
+  Closed out;
+  obs::Phase({.seconds = &out.seconds,
+              .histogram = counted ? request_micros_ : nullptr,
+              .trace = trace, .span = root_span_.c_str(),
+              .parent = parent, .span_id = root_span},
+             start).end();
+  out.slow = counted && slow_ms_ > 0 && out.seconds * 1e3 >= slow_ms_;
+  if (trace != nullptr) {
+    const obs::TraceContext& ctx = trace->context();
+    out.trace_hex = obs::trace_id_hex(ctx.hi, ctx.lo);
+    std::vector<obs::Span> spans = trace->take();
+    out.spans_json = obs::spans_json(spans);
+    if (out.slow) out.spans = spans;
+    traces.add(ctx.hi, ctx.lo, std::move(spans));
+  }
   return out;
+}
+
+void RequestLog::publish(obs::TraceRecorder& trace) {
+  const obs::TraceContext& ctx = trace.context();
+  traces.add(ctx.hi, ctx.lo, trace.take());
+}
+
+void RequestLog::log_slow(const Closed& closed, const SlowLine& fields) {
+  std::ostringstream line;
+  line << "{\"slow\":true,\"tier\":\"" << tier_
+       << "\",\"ms\":" << io::json::number(closed.seconds * 1e3);
+  const auto member = [&line](const char* key, std::string_view value) {
+    if (!value.empty())
+      line << ",\"" << key << "\":\"" << io::json::escape(std::string(value))
+           << "\"";
+  };
+  member("strategy", fields.strategy);
+  member("label", fields.label);
+  member("trace", closed.trace_hex);
+  member("canon_key", fields.canon_key);
+  for (const auto& [key, value] : fields.extra)
+    line << ",\"" << key << "\":" << value;
+  if (fields.timings != nullptr) {
+    line << ",\"timings\":{";
+    for (std::size_t i = 0; i < fields.timings->size(); ++i) {
+      const obs::PhaseTiming& timing = (*fields.timings)[i];
+      line << (i == 0 ? "\"" : ",\"") << io::json::escape(timing.phase)
+           << "\":" << io::json::number(timing.seconds);
+    }
+    line << "}";
+  } else if (!closed.spans.empty()) {
+    line << ",\"spans\":{";
+    for (std::size_t i = 0; i < closed.spans.size(); ++i)
+      line << (i == 0 ? "\"" : ",\"") << io::json::escape(closed.spans[i].name)
+           << "\":" << closed.spans[i].dur_us;
+    line << "}";
+  }
+  // The flight recorder's tail: what the solvers (restarts, waves,
+  // incumbents) or the router (pool reconnects) were doing in the run-up.
+  line << ",\"events\":" << obs::events_json(obs::snapshot_events(32))
+       << "}";
+  if (slow_file_.is_open())
+    slow_file_.write_line(line.str());
+  else  // one locked stdio call per line: lines never interleave
+    std::fprintf(stderr, "%s\n", line.str().c_str());
+}
+
+void RequestLog::flush() {
+  slow_file_.flush();
+  traces.flush();
 }
 
 bool write_all(int fd, const std::string& bytes) {
@@ -213,6 +410,16 @@ std::optional<std::string> call(const std::string& endpoint,
   ::close(fd);
   if (!answered) return std::nullopt;
   return reply;
+}
+
+std::vector<std::string> split_list(const std::string& text) {
+  std::vector<std::string> out;
+  for (std::size_t start = 0, comma = 0; start <= text.size();
+       start = comma + 1) {
+    comma = std::min(text.find(',', start), text.size());
+    if (comma > start) out.push_back(text.substr(start, comma - start));
+  }
+  return out;
 }
 
 bool parse_endpoint(const std::string& text, std::string& host,

@@ -15,19 +15,28 @@
 /// Also here: the protocol's error-reply renderer and the `"id"` prefix
 /// helpers the router uses to match pipelined backend replies to their
 /// requests (responses carry the id as their first member, so the match
-/// needs no full JSON parse on the hot path).
+/// needs no full JSON parse on the hot path); the admin replies both tiers
+/// answer alike; and RequestLog, their shared request close-out.
 
 #include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "net/frame.h"
+#include "obs/phase.h"
+#include "support/logrotate.h"
 
-namespace ebmf::obs {
-class Registry;
-}  // namespace ebmf::obs
+namespace ebmf::io {
+struct WireRequest;
+}  // namespace ebmf::io
+
+namespace ebmf::net {
+struct Message;  // net/reactor.h
+}  // namespace ebmf::net
 
 namespace ebmf::service::net {
 
@@ -52,6 +61,141 @@ std::string scrape_text(const obs::Registry& instance);
 /// line (the protocol is line-framed), with an optional `"id"`.
 std::string metrics_reply(const obs::Registry& instance, std::int64_t id);
 
+/// What one client message is (the intake both tiers share).
+enum class Intake { Request, Upgrade, Blank, Error };
+
+/// Parse one reactor message into `wire`: a solve frame, a JSON line or
+/// type-4 frame (Request); the `{"op":"upgrade"}` line, whose ack is the
+/// connection's last line-framed reply (Upgrade); a blank line (Blank); a
+/// malformed message (Error, with `error` set and `wire.id` salvaged so a
+/// client correlating by id still gets it echoed).
+Intake parse_message(const ebmf::net::Message& message, io::WireRequest& wire,
+                     std::string& error);
+
+/// The reactor's reply to a message it cannot frame: an error line, or a
+/// type-3 error frame after the upgrade.
+std::string protocol_error_reply(ebmf::net::WireMode mode,
+                                 const std::string& message);
+
+/// The `ebmf serve` / `ebmf route` main loop: trap_signals() catches
+/// SIGTERM and SIGINT (and ignores SIGPIPE) before the listening banner;
+/// await_signal() then blocks until one arrives and returns which.
+void trap_signals();
+int await_signal();
+
+/// The admission gate both tiers run: at most `limit` requests in flight
+/// (0 = unlimited), mirrored into `gauge`; a refusal counts into
+/// `rejected` and is answered with overloaded().
+class Admission {
+ public:
+  Admission(std::size_t limit, obs::Gauge* gauge, obs::Counter* rejected)
+      : limit_(limit), gauge_(gauge), rejected_(rejected) {}
+
+  /// Reserve one slot (fetch_add reads the old value it adds to).
+  bool try_admit() {
+    if (inflight_.fetch_add(1, std::memory_order_relaxed) >= limit_ &&
+        limit_ != 0) {
+      inflight_.fetch_sub(1, std::memory_order_relaxed);
+      rejected_->add(1);
+      return false;
+    }
+    gauge_->add(1);
+    return true;
+  }
+  void release(std::size_t count) {
+    inflight_.fetch_sub(count, std::memory_order_relaxed);
+    gauge_->add(-static_cast<std::int64_t>(count));
+  }
+  [[nodiscard]] std::size_t inflight() const {
+    return inflight_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::string overloaded() const {
+    return "overloaded: " + std::to_string(limit_) +
+           " requests already in flight";
+  }
+
+ private:
+  const std::size_t limit_;
+  std::atomic<std::size_t> inflight_{0};
+  obs::Gauge* gauge_;
+  obs::Counter* rejected_;
+};
+
+/// The `{"op":"events"}` (flight-recorder tail), `{"op":"trace"}` (one
+/// trace's span tree, or an error for an unknown id) or `{"op":"traces"}`
+/// (the 32 most recent) reply, as `wire.op` asks, from `traces`.
+std::string observability_reply(const io::WireRequest& wire,
+                                const obs::TraceStore& traces);
+
+/// Append `"key":value` (rendered JSON) as the last member of the object
+/// `json`; no-op unless `json` ends in '}'.
+void append_member(std::string& json, const char* key,
+                   const std::string& value);
+
+/// The request close-out both tiers end every reply with. close() takes
+/// one clock read (the batch start is the other) for the `<tier>.request`
+/// root span and the `<tier>.request.micros` sample, renders the spans
+/// the reply carries, and publishes the trace before the reply is written
+/// (so an immediate `{"op":"trace"}` elsewhere finds it); log_slow() is
+/// the one slow-line renderer.
+class RequestLog {
+ public:
+  /// `tier` is "server" or "router"; `trace_file` / `slow_log` open when
+  /// set (a failure is reported on stderr; slow lines then go there).
+  RequestLog(const char* tier, obs::Registry& registry,
+             const std::string& trace_file, const std::string& slow_log,
+             double slow_ms);
+
+  obs::TraceStore traces{128};  ///< Completed traces (op:trace/op:traces).
+
+  struct Closed {
+    double seconds = 0.0;          ///< Since the batch started.
+    bool slow = false;             ///< A counted request past --slow-ms.
+    std::string trace_hex;         ///< Empty when untraced.
+    std::string spans_json;        ///< The spans array the reply carries.
+    std::vector<obs::Span> spans;  ///< Kept for a slow line only.
+
+    /// Append `"trace":{"id":...,"spans":[...]}` (no-op untraced).
+    void splice_into(std::string& reply) const;
+  };
+
+  /// Close a request of the batch started at `start`: its recorder (null
+  /// untraced), root span id and the remote span the root parents under.
+  /// Only `counted` requests (answered solves and errors) feed the
+  /// histogram and can be slow.
+  Closed close(obs::TraceRecorder* trace, std::uint64_t root_span,
+               std::uint64_t parent, obs::Phase::Clock::time_point start,
+               bool counted);
+
+  /// Publish spans recorded after close() or outside any request.
+  void publish(obs::TraceRecorder& trace);
+
+  /// A slow line's tier-specific content.
+  struct SlowLine {
+    std::string_view strategy{}, label{}, canon_key{};
+    /// Extra members (router: backend, failovers), values rendered JSON.
+    std::vector<std::pair<const char*, std::string>> extra{};
+    /// The per-phase breakdown: report timings (server), or — when null —
+    /// the request's span durations (router).
+    const std::vector<obs::PhaseTiming>* timings = nullptr;
+  };
+
+  /// One slow-request JSON line (tier, ms, strategy, label, trace id,
+  /// canonical key, extras, per-phase breakdown, flight-recorder tail) —
+  /// enough to pull the span tree or find the pattern in the cache — to
+  /// --slow-log (size-rotated) or stderr.
+  void log_slow(const Closed& closed, const SlowLine& line);
+
+  void flush();  ///< Drain hook: slow log and trace file.
+
+ private:
+  const char* tier_;
+  std::string root_span_;
+  obs::Histogram* request_micros_;
+  double slow_ms_;
+  RotatingFile slow_file_;
+};
+
 /// Send `bytes` (a framed line or a whole binary frame) fully, through the
 /// fault-injection write seams; false when the peer is gone (errno is left
 /// describing the failure).
@@ -59,6 +203,10 @@ bool write_all(int fd, const std::string& bytes);
 
 /// write_all(line + '\n').
 bool write_line(int fd, std::string line);
+
+/// The non-empty entries of a comma-separated list (--announce,
+/// --backends, --peers, --connect), in order.
+std::vector<std::string> split_list(const std::string& text);
 
 /// Split "host:port" (port 1..65535). False on malformed input.
 bool parse_endpoint(const std::string& text, std::string& host,

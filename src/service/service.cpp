@@ -15,12 +15,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -44,7 +41,6 @@
 #include "obs/trace.h"
 #include "service/canon.h"
 #include "service/net.h"
-#include "support/logrotate.h"
 
 namespace ebmf::service {
 
@@ -78,17 +74,6 @@ struct Server::Impl {
     if (options.cache_mb > 0)
       engine.set_cache(cache::ResultCache::with_capacity_mb(
           options.cache_mb, &registry, "server.cache"));
-    if (!options.trace_file.empty()) {
-      std::string error;
-      if (!traces.set_file(options.trace_file, &error))
-        std::fprintf(stderr, "trace-file: %s\n", error.c_str());
-    }
-    if (!options.slow_log.empty()) {
-      std::string error;
-      if (!slow_file.open(options.slow_log, &error))
-        std::fprintf(stderr, "slow-log: %s, logging to stderr\n",
-                     error.c_str());
-    }
   }
 
   ServerOptions options;
@@ -97,12 +82,10 @@ struct Server::Impl {
   obs::Registry registry;
   engine::Engine engine;
 
-  /// Completed traces of requests this server handled (op:trace/op:traces).
-  obs::TraceStore traces{128};
-  /// Slow-request sink (--slow-log), size-rotated (`path` → `path.1`, two
-  /// generations kept); stderr when closed and --slow-ms is on.
-  RotatingFile slow_file;
-  std::mutex slow_mutex;
+  /// The close-out every reply ends with: root span, `server.request.micros`,
+  /// the trace store (op:trace/op:traces, --trace-file) and --slow-log.
+  net::RequestLog log{"server", registry, options.trace_file,
+                      options.slow_log, options.slow_ms};
 
   /// One in-flight solve visible to `{"op":"watch"}` and the stats panel.
   struct InflightEntry {
@@ -126,9 +109,8 @@ struct Server::Impl {
   obs::Counter* puts = registry.counter("server.puts");
   obs::Counter* joins_sent = registry.counter("server.joins_sent");
   obs::Counter* join_rejects = registry.counter("server.join_rejects");
-  obs::Gauge* inflight_gauge = registry.gauge("server.inflight");
-  obs::Histogram* request_micros =
-      registry.histogram("server.request.micros");
+  net::Admission gate{options.max_inflight, registry.gauge("server.inflight"),
+                      rejected};
 
   /// The I/O tier. Created in start(); shutdown (not destroyed) in stop(),
   /// so port() and stats stay answerable after a drain.
@@ -147,36 +129,11 @@ struct Server::Impl {
   std::mutex announce_mutex;
   std::vector<int> announce_fds;
 
-  /// The admission gate (try_admit reads the old value it adds to).
-  std::atomic<std::size_t> inflight{0};
-
-  /// Reserve one admission slot; false when the server is at capacity.
-  bool try_admit() {
-    const std::size_t limit = options.max_inflight;
-    const std::size_t current =
-        inflight.fetch_add(1, std::memory_order_relaxed);
-    if (limit != 0 && current >= limit) {
-      inflight.fetch_sub(1, std::memory_order_relaxed);
-      return false;
-    }
-    inflight_gauge->add(1);
-    return true;
-  }
-
-  void release_admitted(std::size_t count) {
-    if (count > 0) {
-      inflight.fetch_sub(count, std::memory_order_relaxed);
-      inflight_gauge->add(-static_cast<std::int64_t>(count));
-    }
-  }
-
   ServerStats counts() const;
   std::string stats_json(std::int64_t id) const;
   std::string handle_put(const io::WireRequest& wire);
   void handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
                     std::int64_t of, rnet::WireMode mode);
-  void log_slow(const engine::SolveReport& report, double elapsed_ms,
-                const std::string& trace_id);
   std::string advertised_endpoint() const;
   bool announce_round(const std::string& router, const std::string& self,
                       std::size_t slot);
@@ -209,7 +166,7 @@ std::string Server::Impl::stats_json(std::int64_t id) const {
       << ",\"rejected\":" << stats.rejected << ",\"puts\":" << stats.puts
       << ",\"joins_sent\":" << stats.joins_sent
       << ",\"join_rejects\":" << stats.join_rejects
-      << ",\"inflight\":" << inflight.load(std::memory_order_relaxed)
+      << ",\"inflight\":" << gate.inflight()
       << ",\"max_inflight\":" << options.max_inflight << "}";
   out << ",\"cache\":" << cache::stats_json(engine.cache().get());
   // The in-flight requests panel (ebmf top): one entry per watchable solve
@@ -278,44 +235,6 @@ void Server::Impl::handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
                                           std::to_string(published) + "}",
                                       id)));
       });
-}
-
-/// One slow-request JSON line: wall-clock, trace id (when traced), the
-/// canonical key prefix, strategy, and per-phase timings — enough to pull
-/// the full span tree via `{"op":"trace"}` or find the pattern in the
-/// cache. Appended to --slow-log or stderr.
-void Server::Impl::log_slow(const engine::SolveReport& report,
-                            double elapsed_ms, const std::string& trace_id) {
-  std::ostringstream line;
-  line << "{\"slow\":true,\"tier\":\"server\",\"ms\":"
-       << io::json::number(elapsed_ms) << ",\"strategy\":\""
-       << io::json::escape(report.strategy) << "\"";
-  if (!report.label.empty())
-    line << ",\"label\":\"" << io::json::escape(report.label) << "\"";
-  if (!trace_id.empty())
-    line << ",\"trace\":\"" << io::json::escape(trace_id) << "\"";
-  if (const std::string* key = report.find_telemetry("canon.key"))
-    line << ",\"canon_key\":\"" << io::json::escape(key->substr(0, 16))
-         << "\"";
-  line << ",\"timings\":{";
-  for (std::size_t i = 0; i < report.timings.size(); ++i) {
-    if (i != 0) line << ",";
-    line << "\"" << io::json::escape(report.timings[i].phase)
-         << "\":" << io::json::number(report.timings[i].seconds);
-  }
-  line << "}";
-  // The flight recorder's tail: what the solvers were doing in the run-up
-  // to this slow reply (restarts, waves, incumbents, GCs).
-  line << ",\"events\":" << obs::events_json(obs::snapshot_events(32));
-  line << "}";
-  const std::string text = line.str();
-  if (slow_file.is_open()) {
-    slow_file.write_line(text);
-    return;
-  }
-  const std::lock_guard<std::mutex> lock(slow_mutex);
-  std::fprintf(stderr, "%s\n", text.c_str());
-  std::fflush(stderr);
 }
 
 /// `{"op":"put"}`: a replica cache write from the router. The payload is
@@ -468,10 +387,13 @@ struct PendingLine {
   std::optional<engine::SolveReport> report;      ///< Split path result.
   /// Tracing (set when the request carried a "trace" member): the span
   /// recorder shared with the engine, this request's "server.request" root
-  /// span id, and the sender's span the root parents under.
+  /// span id, the sender's span the root parents under, and the queue-wait
+  /// span — parse + admission until the engine starts — running since the
+  /// recorder was made.
   obs::TracePtr trace;
   std::uint64_t root_span = 0;
   std::uint64_t remote_parent = 0;
+  obs::Phase queue;
 };
 
 }  // namespace
@@ -483,7 +405,7 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
                                  std::vector<rnet::Message> messages) {
   Impl& impl = *this;
   const std::shared_ptr<ConnState> state = conn_state(conn);
-  const std::uint64_t batch_start_us = obs::steady_micros();
+  const obs::Phase::Clock::time_point batch_start = obs::Phase::Clock::now();
   std::vector<PendingLine> pending(messages.size());
   std::vector<engine::SolveRequest> batch;
   std::size_t admitted = 0;
@@ -493,48 +415,13 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
     const rnet::Message& m = messages[i];
     p.mode = m.mode;
     p.frame_type = m.frame_type;
-    if (m.upgrade) {
-      // The negotiation ack: the extractor already flipped the input
-      // framing, so this is the connection's last line-framed reply.
-      const std::int64_t id = io::salvage_request_id(m.payload);
-      p.id = id;
-      p.immediate =
-          id >= 0 ? "{\"id\":" + std::to_string(id) + ",\"upgraded\":true}"
-                  : "{\"upgraded\":true}";
-      continue;
-    }
     io::WireRequest wire;
-    if (m.mode == rnet::WireMode::Binary &&
-        m.frame_type == rnet::kFrameSolveRequest) {
-      try {
-        wire = io::parse_binary_request(m.payload);
-      } catch (const std::exception& e) {
-        p.error = e.what();
-        p.id = io::binary_salvage_id(m.payload);
-        continue;
-      }
-    } else if (m.mode == rnet::WireMode::Binary &&
-               m.frame_type != rnet::kFrameJson) {
-      p.error = "unexpected frame type " + std::to_string(m.frame_type) +
-                " (clients send solve or json frames)";
-      continue;
-    } else {
-      // A request line, or the identical JSON text in a type-4 frame.
-      if (m.payload.find_first_not_of(" \t") == std::string::npos) {
-        p.skip = true;
-        continue;
-      }
-      try {
-        wire = io::parse_wire_request(m.payload);
-      } catch (const std::exception& e) {
-        p.error = e.what();
-        // A client (or the router) correlating by id needs it echoed even
-        // on a rejected request.
-        p.id = io::salvage_request_id(m.payload);
-        continue;
-      }
-    }
+    const net::Intake intake = net::parse_message(m, wire, p.error);
     p.id = wire.id;
+    if (intake == net::Intake::Upgrade)
+      p.immediate = net::with_id_prefix("{\"upgraded\":true}", p.id);
+    p.skip = intake == net::Intake::Blank;
+    if (intake != net::Intake::Request) continue;
     if (wire.op == io::WireOp::Stats) {
       // Admin verb: answered from counters, never admitted or solved.
       p.immediate = impl.stats_json(wire.id);
@@ -555,15 +442,10 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
       p.immediate = net::metrics_reply(impl.registry, wire.id);
       continue;
     }
-    if (wire.op == io::WireOp::Events) {
-      // Flight-recorder snapshot on demand: the merged, tick-ordered tail
-      // of every thread's event ring.
-      std::ostringstream reply;
-      reply << "{";
-      if (wire.id >= 0) reply << "\"id\":" << wire.id << ",";
-      reply << "\"events\":" << obs::events_json(obs::snapshot_events())
-            << "}";
-      p.immediate = reply.str();
+    if (wire.op == io::WireOp::Events || wire.op == io::WireOp::Trace ||
+        wire.op == io::WireOp::Traces) {
+      // The flight recorder's merged tail, or this server's trace store.
+      p.immediate = net::observability_reply(wire, impl.log.traces);
       continue;
     }
     if (wire.op == io::WireOp::Watch) {
@@ -573,42 +455,13 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
       p.skip = true;
       continue;
     }
-    if (wire.op == io::WireOp::Trace) {
-      std::uint64_t hi = 0;
-      std::uint64_t lo = 0;
-      obs::parse_trace_id(wire.trace_id, &hi, &lo);
-      const std::vector<obs::Span> spans = impl.traces.find(hi, lo);
-      p.immediate = spans.empty()
-                        ? error_json("unknown trace id", "", wire.id)
-                        : obs::trace_tree_json(wire.trace_id, spans);
-      continue;
-    }
-    if (wire.op == io::WireOp::Traces) {
-      std::ostringstream reply;
-      reply << "{";
-      if (wire.id >= 0) reply << "\"id\":" << wire.id << ",";
-      reply << "\"traces\":[";
-      const auto recent = impl.traces.recent(32);
-      for (std::size_t t = 0; t < recent.size(); ++t) {
-        if (t != 0) reply << ",";
-        reply << "{\"id\":\"" << recent[t].id << "\",\"root\":\""
-              << io::json::escape(recent[t].root)
-              << "\",\"dur_us\":" << recent[t].dur_us
-              << ",\"spans\":" << recent[t].spans << "}";
-      }
-      reply << "]}";
-      p.immediate = reply.str();
-      continue;
-    }
     if (wire.op == io::WireOp::Put) {
       // Replica cache write: validated + inserted inline, but under the
       // same admission gate as solves — canonicalization + certificate
       // validation on untrusted payloads is real work, and a put flood
       // must shed exactly like a solve flood.
-      if (!impl.try_admit()) {
-        impl.rejected->add(1);
-        p.error = "overloaded: " + std::to_string(impl.options.max_inflight) +
-                  " requests already in flight";
+      if (!impl.gate.try_admit()) {
+        p.error = impl.gate.overloaded();
         continue;
       }
       p.admitted = true;
@@ -631,10 +484,8 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
     p.include_partition = wire.include_partition;
     p.rows = wire.request.matrix.rows();
     p.cols = wire.request.matrix.cols();
-    if (!impl.try_admit()) {
-      impl.rejected->add(1);
-      p.error = "overloaded: " + std::to_string(impl.options.max_inflight) +
-                " requests already in flight";
+    if (!impl.gate.try_admit()) {
+      p.error = impl.gate.overloaded();
       continue;
     }
     p.admitted = true;
@@ -674,6 +525,7 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
       ctx.parent_span = p.root_span;
       p.trace = std::make_shared<obs::TraceRecorder>(ctx);
       wire.request.trace = p.trace;
+      p.queue = obs::Phase(p.trace.get(), "server.queue", p.root_span);
     }
 
     if (wire.split && !wire.request.masked) {
@@ -685,16 +537,9 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
     }
   }
 
-  // Queue wait: parse + admission until the engine actually starts. Batches
-  // record it here (once per line), not in the engine, so split sub-requests
-  // sharing one recorder don't each re-report it.
-  if (admitted > 0) {
-    const std::uint64_t queue_end_us = obs::steady_micros();
-    for (PendingLine& p : pending)
-      if (p.trace)
-        p.trace->record("server.queue", obs::new_span_id(), p.root_span,
-                        p.trace->created_us(), queue_end_us);
-  }
+  // Queue wait ends here, once per line (not in the engine, so split
+  // sub-requests sharing one recorder don't each re-report it).
+  for (PendingLine& p : pending) p.queue.end();
   std::vector<engine::SolveReport> reports;
   if (!batch.empty())
     reports = impl.engine.solve_batch(batch, impl.options.threads);
@@ -706,7 +551,7 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
       p.error = e.what();
     }
   }
-  impl.release_admitted(admitted);
+  impl.gate.release(admitted);
 
   // Retire the watchable solves: finishing the sink releases every watcher
   // (their connections get the final done line); unregister only our own
@@ -727,106 +572,78 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
     std::string reply;          // JSON reply line (non-binary-solve paths)
     std::string payload;        // binary frame payload (binary solve path)
     std::uint8_t out_type = rnet::kFrameSolveReport;
-    std::string events_json;    // the splices a binary report carries as
-    std::string spans_json;     // raw strings instead of reply-text edits
-    const engine::SolveReport* done = nullptr;
+    std::string events_json;    // a binary report carries it raw
+    // A solved line's report; solve_batch turns per-request failures
+    // (unknown strategy) into "error" telemetry, answered as errors too.
+    const engine::SolveReport* report =
+        !p.immediate.empty() || !p.error.empty() ? nullptr
+        : p.split                                ? &*p.report
+                                                 : &reports[p.batch_index];
+    const std::string* error =
+        report ? report->find_telemetry("error") : &p.error;
+    const engine::SolveReport* done = error ? nullptr : report;
     if (!p.immediate.empty()) {
       reply = p.immediate;
-    } else if (!p.error.empty()) {
+    } else if (error) {
       impl.errors->add(1);
       if (binary_solve) {
         out_type = rnet::kFrameError;
-        payload = io::binary_error_payload(p.id, p.error, p.label);
+        payload = io::binary_error_payload(p.id, *error, p.label);
       } else {
-        reply = error_json(p.error, p.label, p.id);
+        reply = error_json(*error, p.label, p.id);
       }
     } else {
-      const engine::SolveReport& report =
-          p.split ? *p.report : reports[p.batch_index];
-      // solve_batch converts per-request failures (unknown strategy) into
-      // "error" telemetry; surface those as protocol errors too.
-      if (const std::string* error = report.find_telemetry("error")) {
-        impl.errors->add(1);
-        if (binary_solve) {
-          out_type = rnet::kFrameError;
-          payload = io::binary_error_payload(p.id, *error, report.label);
-        } else {
-          reply = error_json(*error, report.label, p.id);
-        }
-      } else {
-        impl.requests->add(1);
-        done = &report;
-        if (p.budgeted && report.status != engine::Status::Optimal) {
-          // A budget-cut reply carries the flight recorder's tail — the
-          // "why did my budget run out" answer rides the reply itself.
-          events_json = obs::events_json(obs::snapshot_events(32));
-        }
-        if (!binary_solve) {
-          reply = io::wire_response_json(report, p.include_partition, p.id);
-          if (!events_json.empty() && !reply.empty() && reply.back() == '}') {
-            reply.pop_back();
-            reply += ",\"events\":" + events_json + "}";
-          }
-        }
+      impl.requests->add(1);
+      if (p.budgeted && done->status != engine::Status::Optimal) {
+        // A budget-cut reply carries the flight recorder's tail — the
+        // "why did my budget run out" answer rides the reply itself.
+        events_json = obs::events_json(obs::snapshot_events(32));
+      }
+      if (!binary_solve) {
+        reply = io::wire_response_json(*done, p.include_partition, p.id);
+        if (!events_json.empty())
+          net::append_member(reply, "events", events_json);
       }
     }
 
-    const std::uint64_t done_us = obs::steady_micros();
-    const std::uint64_t elapsed_us = done_us - batch_start_us;
-    std::string trace_hex;
-    if (p.trace) {
-      // Close the root span, attach this process's spans to the solve reply
-      // (the router folds them into its own trace), and publish the trace
-      // locally *before* the reply is written so an immediate
-      // {"op":"trace"} follow-up on another connection finds it.
-      const obs::TraceContext& ctx = p.trace->context();
-      trace_hex = obs::trace_id_hex(ctx.hi, ctx.lo);
-      p.trace->record("server.request", p.root_span, p.remote_parent,
-                      p.trace->created_us(), done_us);
-      std::vector<obs::Span> spans = p.trace->spans();
-      if (done) {
-        spans_json = obs::spans_json(spans);
-        if (!binary_solve && !reply.empty() && reply.back() == '}') {
-          reply.pop_back();
-          reply += ",\"trace\":{\"id\":\"" + trace_hex +
-                   "\",\"spans\":" + spans_json + "}}";
-        }
+    // Close the root span and the latency sample, and publish the trace
+    // before the reply is written; a solve reply carries the spans (the
+    // router folds them into its own trace).
+    const net::RequestLog::Closed closed =
+        impl.log.close(p.trace.get(), p.root_span, p.remote_parent,
+                       batch_start, done != nullptr || !p.error.empty());
+    if (done) {
+      if (binary_solve)
+        payload = io::binary_report_payload(*done, p.include_partition, p.id,
+                                            p.rows, p.cols, events_json,
+                                            closed.spans_json);
+      else
+        closed.splice_into(reply);
+      impl.registry.histogram("server.solve." + done->strategy + ".micros")
+          ->record(static_cast<std::uint64_t>(closed.seconds * 1e6));
+      if (closed.slow) {
+        const std::string* key = done->find_telemetry("canon.key");
+        impl.log.log_slow(
+            closed, {.strategy = done->strategy,
+                     .label = done->label,
+                     .canon_key = key ? std::string_view(*key).substr(0, 16)
+                                      : std::string_view(),
+                     .timings = &done->timings});
       }
-      impl.traces.add(ctx.hi, ctx.lo, std::move(spans));
-    }
-    if (done && binary_solve)
-      payload = io::binary_report_payload(*done, p.include_partition, p.id,
-                                          p.rows, p.cols, events_json,
-                                          spans_json);
-    if (done || !p.error.empty()) {
-      impl.request_micros->record(elapsed_us);
-      if (done)
-        impl.registry.histogram("server.solve." + done->strategy + ".micros")
-            ->record(elapsed_us);
-    }
-    if (done && impl.options.slow_ms > 0) {
-      const double elapsed_ms = static_cast<double>(elapsed_us) / 1000.0;
-      if (elapsed_ms >= impl.options.slow_ms)
-        impl.log_slow(*done, elapsed_ms, trace_hex);
     }
 
     // Enqueue through the reactor: the loop corks this whole batch's
     // replies into one writev. A false return means the connection died;
     // remaining replies are dropped with it (its budget was cancelled by
-    // on_close already).
+    // on_close already). The reply-write span can't ride in the reply it
+    // measures; it lands in the local store only, visible to later
+    // {"op":"trace"} queries.
+    obs::Phase write(p.trace.get(), "server.reply_write", p.root_span);
     conn->send(binary_solve ? rnet::encode_frame(out_type, payload)
                             : framed_json(p.mode, reply));
     if (p.trace) {
-      // The reply-write span can't ride in the reply it measures; it lands
-      // in the local store only, visible to later {"op":"trace"} queries.
-      obs::Span write_span;
-      write_span.name = "server.reply_write";
-      write_span.span_id = obs::new_span_id();
-      write_span.parent_id = p.root_span;
-      write_span.start_us = done_us;
-      write_span.dur_us = obs::steady_micros() - done_us;
-      const obs::TraceContext& ctx = p.trace->context();
-      impl.traces.add(ctx.hi, ctx.lo, {write_span});
+      write.end();
+      impl.log.publish(*p.trace);
     }
   }
 }
@@ -856,13 +673,7 @@ void Server::start() {
                                std::vector<rnet::Message> messages) {
     impl.process_batch(conn, std::move(messages));
   };
-  callbacks.protocol_error_reply = [](rnet::WireMode mode,
-                                      const std::string& message) {
-    if (mode == rnet::WireMode::Line)
-      return error_json(message, "") + "\n";
-    return rnet::encode_frame(rnet::kFrameError,
-                              io::binary_error_payload(-1, message, ""));
-  };
+  callbacks.protocol_error_reply = net::protocol_error_reply;
   callbacks.on_close = [&impl](const rnet::ConnPtr& conn, bool aborted) {
     // A hard death (RST, write overflow) cancels the connection's budgets —
     // the anytime contract turns that into a fast valid return, freeing
@@ -883,15 +694,8 @@ void Server::start() {
   // --announce takes a comma-separated router list; one session per
   // router keeps the whole fleet's liveness views fresh.
   if (!impl.options.announce.empty()) {
-    std::vector<std::string> routers;
-    std::size_t start = 0;
-    while (start <= impl.options.announce.size()) {
-      std::size_t comma = impl.options.announce.find(',', start);
-      if (comma == std::string::npos) comma = impl.options.announce.size();
-      std::string entry = impl.options.announce.substr(start, comma - start);
-      if (!entry.empty()) routers.push_back(std::move(entry));
-      start = comma + 1;
-    }
+    const std::vector<std::string> routers =
+        net::split_list(impl.options.announce);
     impl.announce_fds.assign(routers.size(), -1);
     for (std::size_t slot = 0; slot < routers.size(); ++slot)
       impl.announce_threads.emplace_back(
@@ -933,8 +737,7 @@ void Server::stop() {
 
   // Flush-on-drain: the tail of the slow log and trace file must survive
   // the SIGTERM that triggered this stop.
-  impl.slow_file.flush();
-  impl.traces.flush();
+  impl.log.flush();
   impl.running = false;
 }
 
@@ -979,15 +782,10 @@ std::string normalize_reply(const rnet::Frame& frame) {
       std::string reply = io::wire_response_json(
           br.report, br.render_partition && !br.report.partition.empty(),
           br.id);
-      const auto splice = [&reply](const std::string& key,
-                                   const std::string& body) {
-        if (body.empty() || reply.empty() || reply.back() != '}') return;
-        reply.pop_back();
-        reply += "," + key + ":" + body + "}";
-      };
-      splice("\"events\"", br.events_json);
+      if (!br.events_json.empty())
+        net::append_member(reply, "events", br.events_json);
       if (!br.spans_json.empty())
-        splice("\"trace\"", "{\"spans\":" + br.spans_json + "}");
+        net::append_member(reply, "trace", "{\"spans\":" + br.spans_json + "}");
       return reply;
     }
     default:
@@ -1218,27 +1016,11 @@ void Client::close() {
 
 // ---- serve_forever --------------------------------------------------------
 
-namespace {
-
-volatile std::sig_atomic_t g_signal = 0;
-
-void on_signal(int sig) { g_signal = sig; }
-
-}  // namespace
-
 int serve_forever(const ServerOptions& options, std::ostream& log) {
   Server server(options);
 
-  // Cache persistence: reload the previous run's snapshot before serving.
-  if (!options.cache_file.empty() && server.engine().cache()) {
-    std::string warning;
-    const std::size_t loaded =
-        server.engine().cache()->load_file(options.cache_file, &warning);
-    if (!warning.empty()) log << "cache-file: " << warning << std::endl;
-    if (loaded > 0)
-      log << "cache-file: reloaded " << loaded << " entries from "
-          << options.cache_file << std::endl;
-  }
+  cache::reload_snapshot(server.engine().cache().get(), options.cache_file,
+                         log);
 
   try {
     server.start();
@@ -1247,23 +1029,12 @@ int serve_forever(const ServerOptions& options, std::ostream& log) {
     return 1;
   }
 
-  g_signal = 0;
-  struct sigaction action{};
-  action.sa_handler = on_signal;
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::sigaction(SIGINT, &action, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);  // all writers already use MSG_NOSIGNAL
-
+  net::trap_signals();
   log << "ebmf service listening on " << options.host << ":" << server.port()
       << " (threads=" << options.threads << ", cache-mb=" << options.cache_mb
       << ", max-inflight=" << options.max_inflight << ")" << std::endl;
 
-  while (g_signal == 0) {
-    timespec nap{0, 100 * 1000 * 1000};
-    ::nanosleep(&nap, nullptr);
-  }
-
-  log << "signal " << static_cast<int>(g_signal) << " received, draining"
+  log << "signal " << net::await_signal() << " received, draining"
       << std::endl;
   server.stop();
   const ServerStats stats = server.stats();
@@ -1278,16 +1049,7 @@ int serve_forever(const ServerOptions& options, std::ostream& log) {
   log << std::endl;
 
   // Snapshot the drained cache so the next start answers warm.
-  if (!options.cache_file.empty() && server.engine().cache()) {
-    std::string error;
-    if (server.engine().cache()->save_file(options.cache_file, &error)) {
-      log << "cache-file: saved "
-          << server.engine().cache()->stats().entries << " entries to "
-          << options.cache_file << std::endl;
-    } else {
-      log << "cache-file: " << error << std::endl;
-    }
-  }
+  cache::save_snapshot(server.engine().cache().get(), options.cache_file, log);
   return 0;
 }
 

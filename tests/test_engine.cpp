@@ -7,10 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "benchgen/generators.h"
 #include "benchgen/suites.h"
 #include "core/bounds.h"
+#include "service/cache.h"
 #include "support/rng.h"
 #include "support/stopwatch.h"
 
@@ -280,6 +285,90 @@ TEST(Report, StatusNames) {
   EXPECT_STREQ(to_string(Status::Bounded), "bounded");
   EXPECT_STREQ(to_string(Status::Heuristic), "heuristic");
 }
+
+// ---- timing names -----------------------------------------------------------
+
+/// The report timing names one registered strategy emits, in order: alone,
+/// through a cached engine (cold and hit), and under solve_split.
+struct TimingNames {
+  const char* strategy;
+  std::vector<std::string> names;
+};
+
+void PrintTo(const TimingNames& case_, std::ostream* out) {
+  *out << case_.strategy;
+}
+
+std::vector<std::string> timing_names(const SolveReport& report) {
+  std::vector<std::string> names;
+  for (const PhaseTiming& timing : report.timings)
+    names.push_back(timing.phase);
+  return names;
+}
+
+class StrategyTimings : public ::testing::TestWithParam<TimingNames> {};
+
+TEST_P(StrategyTimings, NamesArePinned) {
+  const TimingNames& pinned = GetParam();
+  const std::vector<std::string>& names = pinned.names;
+  const Engine plain;
+  EXPECT_EQ(timing_names(plain.solve(SolveRequest::dense(eq2(),
+                                                         pinned.strategy))),
+            names);
+
+  // The cached path appends its lift and canon passes to the strategy's
+  // own phases, on the cold solve and on the hit alike.
+  Engine cached;
+  cached.set_cache(std::make_shared<cache::ResultCache>(
+      cache::ResultCache::Options{}));
+  std::vector<std::string> with_cache = names;
+  with_cache.push_back("cache.lift");
+  with_cache.push_back("canon");
+  for (int round = 0; round < 2; ++round)
+    EXPECT_EQ(timing_names(cached.solve(
+                  SolveRequest::dense(eq2(), pinned.strategy))),
+              with_cache)
+        << "round " << round;
+
+  // Two one-cell components: the split phase, then each piece's phases
+  // merged by name.
+  std::vector<std::string> split = {"split"};
+  split.insert(split.end(), names.begin(), names.end());
+  const SolveReport merged = plain.solve_split(
+      SolveRequest::dense(BinaryMatrix::parse("1100;1100;0011;0011"),
+                          pinned.strategy),
+      2);
+  EXPECT_EQ(merged.telemetry_count("split.components"), 2u);
+  EXPECT_EQ(timing_names(merged), split);
+}
+
+const std::vector<TimingNames>& pinned_timing_names() {
+  static const std::vector<TimingNames> pinned = {
+      {"auto", {"brute"}},
+      {"brute", {"brute"}},
+      {"completion", {"completion"}},
+      {"dlx", {"rank", "heuristic"}},
+      {"greedy", {"rank", "heuristic"}},
+      {"heuristic", {"rank", "heuristic"}},
+      {"local", {"bounds", "search"}},
+      {"sap", {"rank", "heuristic", "smt"}},
+      {"trivial", {"rank", "heuristic"}},
+  };
+  return pinned;
+}
+
+TEST(StrategyTimingsTable, CoversEveryRegisteredStrategy) {
+  std::vector<std::string> pinned;
+  for (const TimingNames& entry : pinned_timing_names())
+    pinned.push_back(entry.strategy);
+  EXPECT_EQ(pinned, SolverRegistry::with_builtins().names());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, StrategyTimings, ::testing::ValuesIn(pinned_timing_names()),
+    [](const ::testing::TestParamInfo<TimingNames>& info) {
+      return std::string(info.param.strategy);
+    });
 
 }  // namespace
 }  // namespace ebmf::engine

@@ -6,6 +6,7 @@
 #include "obs/events.h"
 #include "obs/federate.h"
 #include "obs/metrics.h"
+#include "obs/phase.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "support/logrotate.h"
@@ -13,10 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <random>
@@ -239,6 +242,132 @@ TEST(TraceStore, RingEvictsOldestAndBoundsSize) {
   EXPECT_EQ(store.recent(2).front().spans, 2u);
 }
 
+TEST(Trace, TakeMovesSpansOutAndStartsAFreshBatch) {
+  TraceRecorder recorder(make_trace_context());
+  recorder.record("a", 1, 0, 10, 20);
+  recorder.record("b", 2, 1, 12, 15);
+  const std::vector<Span> first = recorder.take();
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first[1].name, "b");
+  EXPECT_EQ(first[1].dur_us, 3u);
+  EXPECT_TRUE(recorder.take().empty());
+  recorder.record("c", 3, 1, 30, 31);
+  const std::vector<Span> second = recorder.take();
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].name, "c");
+}
+
+// ---- phase scope -----------------------------------------------------------
+
+TEST(Phase, OnePairOfReadsFeedsEverySink) {
+  std::vector<PhaseTiming> timings;
+  double seconds = -1.0;
+  Histogram histogram;
+  TraceRecorder recorder(make_trace_context());
+  {
+    const Phase phase({.timings = &timings,
+                       .timing = "rank",
+                       .seconds = &seconds,
+                       .histogram = &histogram,
+                       .trace = &recorder,
+                       .span = "engine.rank",
+                       .parent = 7,
+                       .span_id = 42});
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(timings.size(), 1u);
+  EXPECT_EQ(timings[0].phase, "rank");
+  EXPECT_EQ(timings[0].seconds, seconds);
+  EXPECT_GE(seconds, 0.002);
+  ASSERT_EQ(histogram.count(), 1u);
+  const std::vector<Span> spans = recorder.take();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "engine.rank");
+  EXPECT_EQ(spans[0].span_id, 42u);
+  EXPECT_EQ(spans[0].parent_id, 7u);
+  // Span, histogram and timing are the same interval: micros agree with
+  // the seconds to within the truncation of the two stamps.
+  EXPECT_EQ(histogram.sum(), spans[0].dur_us);
+  EXPECT_NEAR(static_cast<double>(spans[0].dur_us), seconds * 1e6, 1.0);
+}
+
+TEST(Phase, TimingsMergeByNameInFirstRecordedOrder) {
+  std::vector<PhaseTiming> timings;
+  for (const char* name : {"rank", "heuristic", "rank"})
+    Phase({.timings = &timings, .timing = name}).end();
+  add_timing(timings, "heuristic", 1.0);
+  ASSERT_EQ(timings.size(), 2u);
+  EXPECT_EQ(timings[0].phase, "rank");
+  EXPECT_EQ(timings[1].phase, "heuristic");
+  EXPECT_GE(timings[1].seconds, 1.0);
+}
+
+TEST(Phase, SpanOnlyScopeOnAnUntracedRequestRecordsNothing) {
+  // Inert: no recorder, no other sink — the untraced hot path.
+  Phase untraced({.trace = nullptr, .span = "router.canon", .parent = 1});
+  untraced.end();
+  Phase placeholder;
+  placeholder.end();
+  SUCCEED();
+}
+
+TEST(Phase, EndOnceDiscardAndMoveOwnership) {
+  TraceRecorder recorder(make_trace_context());
+  Phase once({.trace = &recorder, .span = "once"});
+  once.end();
+  once.end();
+  Phase dropped({.trace = &recorder, .span = "dropped"});
+  dropped.discard();
+  dropped.end();
+  Phase slot;
+  slot = Phase({.trace = &recorder, .span = "moved"});
+  Phase taken(std::move(slot));
+  slot.end();  // moved-from: inert
+  std::vector<std::string> names;
+  for (const Span& span : recorder.take()) names.push_back(span.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"once"}));
+  taken = Phase({.trace = &recorder, .span = "next"});  // ends "moved"
+  taken.end();
+  names.clear();
+  for (const Span& span : recorder.take()) names.push_back(span.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"moved", "next"}));
+}
+
+TEST(Phase, StartedAtASharedReadCoversTheWholeInterval) {
+  const Phase::Clock::time_point start =
+      Phase::Clock::now() - std::chrono::milliseconds(5);
+  double seconds = 0.0;
+  Phase({.seconds = &seconds}, start).end();
+  EXPECT_GE(seconds, 0.005);
+}
+
+TEST(Phase, ConcurrentScopesRecordIntoOneRecorderAndHistogram) {
+  // The engine's solve_batch pool threads record into one shared request
+  // recorder; every scope must land exactly once.
+  TraceRecorder recorder(make_trace_context());
+  Histogram histogram;
+  constexpr int kThreads = 4;
+  constexpr int kScopes = 250;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      std::vector<PhaseTiming> timings;
+      for (int i = 0; i < kScopes; ++i) {
+        const Phase phase({.timings = &timings,
+                           .timing = "solve",
+                           .histogram = &histogram,
+                           .trace = &recorder,
+                           .span = "engine.solve"});
+      }
+      EXPECT_EQ(timings.size(), 1u);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(recorder.take().size(),
+            static_cast<std::size_t>(kThreads * kScopes));
+  EXPECT_EQ(histogram.count(), static_cast<std::uint64_t>(kThreads * kScopes));
+}
+
 // ---- cross-process span tree over a real serve + route pair ----------------
 
 std::map<std::string, Span> spans_by_name(const io::json::Value& trace) {
@@ -455,6 +584,249 @@ TEST(Trace, ExactSpanSetsOfRoutedHitsOverTheBinaryHop) {
   hop_router.stop();
   l1_router.stop();
   backend.stop();
+}
+
+// The exact span sets of a direct traced solve on `serve` with its cache
+// on: the cold solve runs the full pipeline, the repeat is a cache hit (no
+// engine.solve). The reply-write span cannot ride the reply it measures;
+// it lands in the server's own store only.
+TEST(Trace, ExactSpanSetsOfADirectCachedSolve) {
+  service::ServerOptions options;
+  options.port = 0;
+  options.cache_mb = 8;
+  service::Server server(options);
+  server.start();
+  service::Client client("127.0.0.1", server.port());
+
+  const std::string pattern = "1100;0110;0011";
+  EXPECT_EQ(span_names(traced_round_trip(client, pattern)),
+            (std::vector<std::string>{"engine.cache_lookup", "engine.canon",
+                                      "engine.lift", "engine.solve",
+                                      "server.queue", "server.request"}));
+  io::WireRequest wire;
+  wire.request =
+      engine::SolveRequest::dense(BinaryMatrix::parse(pattern), "auto");
+  wire.has_trace = true;
+  wire.trace = make_trace_context();
+  const std::string hit = client.round_trip(io::wire_request_json(wire));
+  EXPECT_NE(hit.find("\"cache_hit\":\"true\""), std::string::npos) << hit;
+  const std::vector<std::string> hit_spans = {
+      "engine.cache_lookup", "engine.canon", "engine.lift", "server.queue",
+      "server.request"};
+  EXPECT_EQ(span_names(hit), hit_spans);
+
+  const io::json::Value tree = io::json::Value::parse(client.round_trip(
+      "{\"op\":\"trace\",\"id\":\"" +
+      trace_id_hex(wire.trace.hi, wire.trace.lo) + "\"}"));
+  std::vector<std::string> stored;
+  const io::json::Value* spans = tree.find("spans");
+  ASSERT_NE(spans, nullptr);
+  for (std::size_t i = 0; i < spans->size(); ++i)
+    stored.push_back(spans->at(i).find("name")->as_string());
+  std::sort(stored.begin(), stored.end());
+  std::vector<std::string> with_write = hit_spans;
+  with_write.push_back("server.reply_write");
+  std::sort(with_write.begin(), with_write.end());
+  EXPECT_EQ(stored, with_write);
+  server.stop();
+}
+
+// A replica read: a promoted key whose primary died is answered warm by
+// the surviving replica, crossing the hop once with no solve.
+TEST(Trace, ExactSpanSetOfARoutedReplicaRead) {
+  service::ServerOptions backend_options;
+  backend_options.port = 0;
+  backend_options.cache_mb = 8;
+  auto server_a = std::make_unique<service::Server>(backend_options);
+  server_a->start();
+  auto server_b = std::make_unique<service::Server>(backend_options);
+  server_b->start();
+  const auto endpoint_of = [](const service::Server& server) {
+    return "127.0.0.1:" + std::to_string(server.port());
+  };
+
+  router::RouterOptions options;
+  options.port = 0;
+  options.l1_mb = 0;
+  options.backoff_base_ms = 5;
+  options.backoff_max_ms = 50;
+  options.health_interval_ms = 10;
+  options.replicas = 2;
+  options.promote_after = 2;
+  options.backends = {endpoint_of(*server_a), endpoint_of(*server_b)};
+  router::Router router(options);
+  router.start();
+  service::Client client("127.0.0.1", router.port());
+
+  const std::string pattern = "1110;0111;1111";
+  const std::string cold = traced_round_trip(client, pattern);
+  const std::string owner =
+      io::json::Value::parse(cold)
+          .find("telemetry")
+          ->find("routed.backend")
+          ->as_string();
+  service::Server* primary =
+      owner == endpoint_of(*server_a) ? server_a.get() : server_b.get();
+  service::Server* survivor =
+      owner == endpoint_of(*server_a) ? server_b.get() : server_a.get();
+  const std::string promoting = traced_round_trip(client, pattern);
+  ASSERT_NE(promoting.find("\"cluster.promote\""), std::string::npos)
+      << promoting;
+  const auto eventually = [](const std::function<bool()>& predicate) {
+    for (int tries = 0; tries < 300; ++tries) {
+      if (predicate()) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  };
+  ASSERT_TRUE(eventually([&] { return survivor->stats().puts >= 1; }));
+  primary->stop();
+  ASSERT_TRUE(eventually([&] {
+    for (const router::BackendHealth& backend : router.stats().backends)
+      if (backend.endpoint == owner && !backend.alive) return true;
+    return false;
+  }));
+
+  const std::string replica = traced_round_trip(client, pattern);
+  EXPECT_NE(replica.find("\"cluster.replica_hit\""), std::string::npos)
+      << replica;
+  EXPECT_NE(replica.find("\"cache_hit\":\"true\""), std::string::npos)
+      << replica;
+  EXPECT_EQ(span_names(replica),
+            (std::vector<std::string>{
+                "engine.cache_lookup", "router.canon", "router.dispatch",
+                "router.lift", "router.request", "server.queue",
+                "server.request"}));
+  router.stop();
+  survivor->stop();
+}
+
+// ---- slow lines ------------------------------------------------------------
+
+/// The last line of `path`, parsed.
+io::json::Value last_json_line(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "r");
+  if (file == nullptr) return io::json::Value::parse("{}");
+  std::string text;
+  char chunk[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof chunk, file)) > 0)
+    text.append(chunk, n);
+  std::fclose(file);
+  while (!text.empty() && text.back() == '\n') text.pop_back();
+  const std::size_t start = text.rfind('\n');
+  return io::json::Value::parse(
+      text.empty() ? "{}"
+                   : text.substr(start == std::string::npos ? 0 : start + 1));
+}
+
+/// The member names of a JSON object, in document order.
+std::vector<std::string> member_names(const io::json::Value& object) {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : object.members()) names.push_back(name);
+  return names;
+}
+
+std::string scratch_path(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+TEST(Trace, ServerSlowLineCarriesTheReportTimings) {
+  const std::string path = scratch_path("ebmf_server_slow.jsonl");
+  service::ServerOptions options;
+  options.port = 0;
+  options.cache_mb = 8;
+  options.slow_ms = 1e-6;
+  options.slow_log = path;
+  service::Server server(options);
+  server.start();
+  service::Client client("127.0.0.1", server.port());
+  io::WireRequest wire;
+  wire.request = engine::SolveRequest::dense(
+      BinaryMatrix::parse("110;011;111"), "heuristic");
+  wire.request.label = "eq2";
+  wire.has_trace = true;
+  wire.trace = make_trace_context();
+  const std::string reply = client.round_trip(io::wire_request_json(wire));
+  ASSERT_EQ(reply.find("\"error\""), std::string::npos) << reply;
+  server.stop();  // the drain flushes the slow log
+
+  const io::json::Value line = last_json_line(path);
+  ASSERT_NE(line.find("slow"), nullptr);
+  EXPECT_EQ(line.find("tier")->as_string(), "server");
+  EXPECT_GT(line.find("ms")->as_number(), 0.0);
+  EXPECT_EQ(line.find("strategy")->as_string(), "heuristic");
+  EXPECT_EQ(line.find("label")->as_string(), "eq2");
+  EXPECT_EQ(line.find("trace")->as_string(),
+            trace_id_hex(wire.trace.hi, wire.trace.lo));
+  EXPECT_EQ(line.find("canon_key")->as_string().size(), 16u);
+  EXPECT_TRUE(line.find("events")->is_array());
+  EXPECT_EQ(line.find("backend"), nullptr);
+  EXPECT_EQ(line.find("spans"), nullptr);
+  const io::json::Value* timings = line.find("timings");
+  ASSERT_NE(timings, nullptr);
+  EXPECT_EQ(member_names(*timings),
+            (std::vector<std::string>{"rank", "heuristic", "cache.lift",
+                                      "canon"}));
+  std::remove(path.c_str());
+}
+
+TEST(Trace, RouterSlowLineCarriesSpanDurationsAndBackend) {
+  service::ServerOptions backend_options;
+  backend_options.port = 0;
+  backend_options.cache_mb = 8;
+  service::Server backend(backend_options);
+  backend.start();
+  const std::string endpoint = "127.0.0.1:" + std::to_string(backend.port());
+
+  const std::string path = scratch_path("ebmf_router_slow.jsonl");
+  router::RouterOptions options;
+  options.port = 0;
+  options.l1_mb = 8;
+  options.slow_ms = 1e-6;
+  options.slow_log = path;
+  options.backends.push_back(endpoint);
+  router::Router router(options);
+  router.start();
+  service::Client client("127.0.0.1", router.port());
+  io::WireRequest wire;
+  wire.request =
+      engine::SolveRequest::dense(BinaryMatrix::parse("110;011;111"), "sap");
+  wire.request.label = "eq2";
+  wire.has_trace = true;
+  wire.trace = make_trace_context();
+  const std::string reply = client.round_trip(io::wire_request_json(wire));
+  ASSERT_EQ(reply.find("\"error\""), std::string::npos) << reply;
+  router.stop();
+
+  const io::json::Value line = last_json_line(path);
+  ASSERT_NE(line.find("slow"), nullptr);
+  EXPECT_EQ(line.find("tier")->as_string(), "router");
+  EXPECT_GT(line.find("ms")->as_number(), 0.0);
+  EXPECT_EQ(line.find("strategy")->as_string(), "sap");
+  EXPECT_EQ(line.find("label")->as_string(), "eq2");
+  EXPECT_EQ(line.find("trace")->as_string(),
+            trace_id_hex(wire.trace.hi, wire.trace.lo));
+  EXPECT_EQ(line.find("canon_key")->as_string().size(), 32u);
+  EXPECT_EQ(line.find("backend")->as_string(), endpoint);
+  EXPECT_EQ(line.find("failovers"), nullptr);
+  EXPECT_TRUE(line.find("events")->is_array());
+  EXPECT_EQ(line.find("timings"), nullptr);
+  const io::json::Value* spans = line.find("spans");
+  ASSERT_NE(spans, nullptr);
+  std::vector<std::string> span_set = member_names(*spans);
+  std::sort(span_set.begin(), span_set.end());
+  EXPECT_EQ(span_set,
+            (std::vector<std::string>{
+                "engine.cache_lookup", "engine.solve", "router.canon",
+                "router.dispatch", "router.l1", "router.lift",
+                "router.request", "server.queue", "server.request"}));
+  for (const auto& [name, dur] : spans->members())
+    EXPECT_TRUE(dur.is_number()) << name;
+  backend.stop();
+  std::remove(path.c_str());
 }
 
 // ---- flight recorder -------------------------------------------------------

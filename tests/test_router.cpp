@@ -404,6 +404,34 @@ TEST(Router, BackendDecliningTheUpgradeIsNeverLive) {
   router.stop();
 }
 
+TEST(Router, SilentBackendTimesOutOnceNotOncePerAttempt) {
+  // The only member acks the upgrade and never answers a solve. A backend
+  // that timed out is never resubmitted to, so the client hears "all
+  // backends unavailable" after one reply window, not after one window per
+  // failover attempt.
+  FakeBackend backend(kUpgradeAck);
+  RouterOptions options;
+  options.port = 0;
+  options.l1_mb = 0;
+  options.backoff_base_ms = 5;
+  options.backoff_max_ms = 20;
+  options.health_interval_ms = 10;
+  options.reply_timeout_seconds = 0.3;
+  options.backends.push_back("127.0.0.1:" + std::to_string(backend.port()));
+  Router router(options);
+  router.start();
+
+  service::Client client("127.0.0.1", router.port());
+  const auto started = std::chrono::steady_clock::now();
+  const Reply reply(client.round_trip(R"({"pattern": "110;011;111"})"));
+  const auto waited = std::chrono::steady_clock::now() - started;
+  ASSERT_TRUE(reply.is_error());
+  EXPECT_EQ(reply.document.find("error")->as_string(),
+            "all backends unavailable");
+  EXPECT_LT(waited, std::chrono::milliseconds(600));
+  router.stop();
+}
+
 // ---- routing --------------------------------------------------------------
 
 TEST(Router, RoundTripSolvesThroughABackend) {
