@@ -6,7 +6,9 @@
 // line of hot-path numbers: SAT propagation throughput (a pigeonhole UNSAT
 // proof and a large conflict-capped SMT decision formula) and the cost of
 // canon::canonicalize on the routed repeat families, with the count of
-// bases whose permutations split into more than one cache key.
+// bases whose permutations split into more than one cache key, and the cost
+// of the solver's preprocessing (reduce_duplicates + split_components) on
+// the same inputs.
 // tools/bench_compare.py diffs these lines against the committed
 // BENCH_sap.json baseline.
 
@@ -19,6 +21,7 @@
 
 #include "benchgen/generators.h"
 #include "core/bounds.h"
+#include "core/preprocess.h"
 #include "core/row_packing.h"
 #include "core/trivial.h"
 #include "dlx/packing_dlx.h"
@@ -299,11 +302,11 @@ struct CanonRun {
   std::size_t key_splits = 0;  ///< Bases whose permutations got >1 key.
 };
 
-/// canonicalize over 64 repeat bases x 32 row/column permutations each,
-/// best of 3 timed sweeps.
-CanonRun run_canon() {
-  constexpr std::size_t kBases = 64;
-  constexpr std::size_t kPermutations = 32;
+constexpr std::size_t kBases = 64;
+constexpr std::size_t kPermutations = 32;
+
+/// kBases repeat bases x kPermutations row/column permutations each.
+std::vector<ebmf::BinaryMatrix> repeat_pool() {
   ebmf::Rng rng(16);
   std::vector<ebmf::BinaryMatrix> pool;
   for (std::size_t b = 0; b < kBases; ++b) {
@@ -314,15 +317,29 @@ CanonRun run_canon() {
     for (std::size_t p = 0; p < kPermutations; ++p)
       pool.push_back(permuted_copy(base, rng));
   }
-  CanonRun run;
-  std::vector<ebmf::canon::CacheKey> keys(pool.size());
+  return pool;
+}
+
+/// Micros per call of `fn` over the pool, best of 3 timed sweeps.
+template <typename Fn>
+double us_per_call(const std::vector<ebmf::BinaryMatrix>& pool, Fn fn) {
+  double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
     ebmf::Stopwatch sw;
-    for (std::size_t i = 0; i < pool.size(); ++i)
-      keys[i] = ebmf::canon::canonicalize(pool[i]).key;
+    for (std::size_t i = 0; i < pool.size(); ++i) fn(i);
     const double us = sw.seconds() * 1e6 / static_cast<double>(pool.size());
-    if (rep == 0 || us < run.us_per_call) run.us_per_call = us;
+    if (rep == 0 || us < best) best = us;
   }
+  return best;
+}
+
+/// canonicalize over the repeat pool, and its key splits per base.
+CanonRun run_canon(const std::vector<ebmf::BinaryMatrix>& pool) {
+  CanonRun run;
+  std::vector<ebmf::canon::CacheKey> keys(pool.size());
+  run.us_per_call = us_per_call(pool, [&](std::size_t i) {
+    keys[i] = ebmf::canon::canonicalize(pool[i]).key;
+  });
   for (std::size_t b = 0; b < kBases; ++b) {
     const auto first =
         keys.begin() + static_cast<std::ptrdiff_t>(b * kPermutations);
@@ -333,24 +350,40 @@ CanonRun run_canon() {
   return run;
 }
 
+/// The solver's preprocessing over the repeat pool.
+double run_preprocess(const std::vector<ebmf::BinaryMatrix>& pool) {
+  std::size_t components = 0;
+  const double us = us_per_call(pool, [&](std::size_t i) {
+    components +=
+        ebmf::split_components(ebmf::reduce_duplicates(pool[i]).reduced)
+            .size();
+  });
+  benchmark::DoNotOptimize(components);
+  return us;
+}
+
 int json_summary() {
   const SatRun sat = best_of(run_pigeonhole, 3);
   const SatRun smt = best_of(run_large_smt, 3);
-  const CanonRun canon = run_canon();
+  const std::vector<ebmf::BinaryMatrix> pool = repeat_pool();
+  const CanonRun canon = run_canon(pool);
+  const double preprocess_us = run_preprocess(pool);
   std::printf(
       "{\"bench\":\"micro\",\"summary\":true,\"hardware_threads\":%u,"
       "\"sat\":{\"propagations\":%llu,\"conflicts\":%llu,\"seconds\":%.4f,"
       "\"propagations_per_sec\":%.0f},"
       "\"smt_large\":{\"propagations\":%llu,\"conflicts\":%llu,"
       "\"seconds\":%.4f,\"propagations_per_sec\":%.0f},"
-      "\"canon\":{\"us_per_call\":%.3f,\"key_splits\":%zu}}\n",
+      "\"canon\":{\"us_per_call\":%.3f,\"key_splits\":%zu},"
+      "\"preprocess\":{\"us_per_call\":%.3f}}\n",
       std::thread::hardware_concurrency(),
       static_cast<unsigned long long>(sat.propagations),
       static_cast<unsigned long long>(sat.conflicts), sat.seconds,
       sat.propagations_per_sec(),
       static_cast<unsigned long long>(smt.propagations),
       static_cast<unsigned long long>(smt.conflicts), smt.seconds,
-      smt.propagations_per_sec(), canon.us_per_call, canon.key_splits);
+      smt.propagations_per_sec(), canon.us_per_call, canon.key_splits,
+      preprocess_us);
   return 0;
 }
 

@@ -25,6 +25,11 @@ std::size_t masked_fooling_lower_bound(const MaskedMatrix& m) {
 
 namespace {
 
+/// Estimated seconds per encoding work unit of MaskedFormula
+/// (Budget::affords_encode): every pair of non-Zero cells gets up to two
+/// clauses per label. Calibration: 691 cells at bound 59 take ≈ 2.4 s.
+constexpr double kEncodeSecondsPerUnit = 8e-8;
+
 /// One-hot CNF for "the 1-cells of m are addressable with <= bound
 /// rectangles" under the chosen don't-care semantics.
 class MaskedFormula {
@@ -178,7 +183,12 @@ CompletionResult solve_masked(const MaskedMatrix& m,
 
   const std::size_t lower = std::max<std::size_t>(
       masked_fooling_lower_bound(m), 1);
-  if (result.partition.size() == lower || !options.use_sat) {
+  // The formula's cells are the 1s and the don't-cares; refuse one whose
+  // construction alone would overrun the deadline, keeping the packing.
+  if (result.partition.size() == lower || !options.use_sat ||
+      !options.budget.affords_encode(
+          m.pattern().ones_count() + m.dont_care_count(),
+          result.partition.size() - 1, kEncodeSecondsPerUnit)) {
     result.proven_optimal = result.partition.size() == lower;
     result.seconds = timer.seconds();
     return result;

@@ -1,157 +1,92 @@
 #include "core/preprocess.h"
 
 #include <numeric>
-#include <unordered_map>
+
+#include "core/flat.h"
 
 namespace ebmf {
 
 namespace {
 
-/// Group indices of equal nonzero BitVecs, in first-occurrence order.
-std::vector<std::vector<std::size_t>> group_equal_rows(
-    const std::vector<BitVec>& rows) {
-  std::unordered_map<BitVec, std::size_t, BitVecHash> index_of;
-  std::vector<std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].none()) continue;
-    auto [it, inserted] = index_of.try_emplace(rows[i], groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(i);
-  }
-  return groups;
+/// The lift record of the duplicate groups `g` (its trailing group of zero
+/// lines left out).
+void add_groups(const flat::Groups& g, LineSources& out) {
+  const std::size_t n = g.rep.size();
+  out.start.assign(g.start.begin(), g.start.begin() + n + 1);
+  out.source.assign(g.members.begin(), g.members.begin() + g.start[n]);
 }
 
-/// Disjoint-set forest for the component split.
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), std::size_t{0});
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
- private:
-  std::vector<std::size_t> parent_;
-};
+/// The lift record of a line selection: line k stands for `lines[k]` alone.
+void add_lines(const flat::Indices& lines, LineSources& out) {
+  out.start.resize(lines.size() + 1);
+  std::iota(out.start.begin(), out.start.end(), std::size_t{0});
+  out.source.assign(lines.begin(), lines.end());
+}
 
 }  // namespace
 
-DuplicateReduction reduce_duplicates(const BinaryMatrix& m) {
-  DuplicateReduction out;
-  out.original_rows = m.rows();
-  out.original_cols = m.cols();
-
-  // Pass 1: group duplicate rows.
-  out.row_groups = group_equal_rows(m.row_vectors());
-
-  // Pass 2: group duplicate columns of the row-reduced matrix.
-  BinaryMatrix row_reduced(out.row_groups.size(), m.cols());
-  for (std::size_t i = 0; i < out.row_groups.size(); ++i)
-    for (std::size_t j = m.row(out.row_groups[i][0]).find_first();
-         j < m.cols(); j = m.row(out.row_groups[i][0]).find_next(j))
-      row_reduced.set(i, j);
-  out.col_groups = group_equal_rows(row_reduced.transposed().row_vectors());
-
-  out.reduced = BinaryMatrix(out.row_groups.size(), out.col_groups.size());
-  for (std::size_t i = 0; i < out.row_groups.size(); ++i)
-    for (std::size_t j = 0; j < out.col_groups.size(); ++j)
-      if (row_reduced.test(i, out.col_groups[j][0])) out.reduced.set(i, j);
-  return out;
-}
-
-Partition expand_partition(const Partition& p, const DuplicateReduction& r) {
+Partition lift_partition(const Partition& p, const LiftMap& map) {
   Partition out;
   out.reserve(p.size());
   for (const Rectangle& rect : p) {
-    Rectangle big{BitVec(r.original_rows), BitVec(r.original_cols)};
+    EBMF_EXPECTS(!rect.empty());
+    Rectangle big{BitVec(map.original_rows), BitVec(map.original_cols)};
     for (std::size_t i = rect.rows.find_first(); i < rect.rows.size();
-         i = rect.rows.find_next(i))
-      for (std::size_t orig : r.row_groups[i]) big.rows.set(orig);
+         i = rect.rows.find_next(i)) {
+      EBMF_EXPECTS(i < map.rows.size());
+      for (const std::size_t orig : map.rows[i]) big.rows.set(orig);
+    }
     for (std::size_t j = rect.cols.find_first(); j < rect.cols.size();
-         j = rect.cols.find_next(j))
-      for (std::size_t orig : r.col_groups[j]) big.cols.set(orig);
+         j = rect.cols.find_next(j)) {
+      EBMF_EXPECTS(j < map.cols.size());
+      for (const std::size_t orig : map.cols[j]) big.cols.set(orig);
+    }
     out.push_back(std::move(big));
   }
+  return out;
+}
+
+DuplicateReduction reduce_duplicates(const BinaryMatrix& m) {
+  flat::Dedup dedup;
+  dedup.run(m);
+  DuplicateReduction out;
+  out.reduced = BinaryMatrix(dedup.rows.lines, dedup.rows.bits);
+  for (std::size_t i = 0; i < dedup.rows.lines; ++i)
+    flat::for_each_bit(dedup.rows.line(i), dedup.rows.stride,
+                       [&](std::size_t j) { out.reduced.set(i, j); });
+  add_groups(dedup.row_groups, out.map.rows);
+  add_groups(dedup.col_groups, out.map.cols);
+  out.map.original_rows = m.rows();
+  out.map.original_cols = m.cols();
   return out;
 }
 
 std::vector<Component> split_components(const BinaryMatrix& m) {
-  const std::size_t rows = m.rows();
-  const std::size_t cols = m.cols();
-  // Vertices: [0, rows) are rows, [rows, rows+cols) are columns.
-  UnionFind uf(rows + cols);
-  for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t j = m.row(i).find_first(); j < cols;
-         j = m.row(i).find_next(j))
-      uf.unite(i, rows + j);
-
-  // Collect member rows/cols per root, restricted to nonzero rows/cols.
-  std::unordered_map<std::size_t, std::size_t> component_of_root;
+  flat::Flat rows, cols;
+  rows.load(m);
+  flat::transpose(rows, cols);
+  flat::ComponentSearch search;
+  search.begin(rows, cols);
+  flat::Indices col_local(m.cols());
   std::vector<Component> components;
-  std::vector<std::vector<std::size_t>> comp_rows, comp_cols;
-  for (std::size_t i = 0; i < rows; ++i) {
-    if (m.row(i).none()) continue;
-    const auto root = uf.find(i);
-    auto [it, inserted] =
-        component_of_root.try_emplace(root, comp_rows.size());
-    if (inserted) {
-      comp_rows.emplace_back();
-      comp_cols.emplace_back();
-    }
-    comp_rows[it->second].push_back(i);
-  }
-  for (std::size_t j = 0; j < cols; ++j) {
-    const auto root = uf.find(rows + j);
-    const auto it = component_of_root.find(root);
-    if (it == component_of_root.end()) continue;  // empty column
-    comp_cols[it->second].push_back(j);
-  }
-
-  components.reserve(comp_rows.size());
-  for (std::size_t c = 0; c < comp_rows.size(); ++c) {
-    Component comp;
-    comp.row_map = std::move(comp_rows[c]);
-    comp.col_map = std::move(comp_cols[c]);
-    comp.matrix = BinaryMatrix(comp.row_map.size(), comp.col_map.size());
-    // Inverse column map for the fill.
-    std::unordered_map<std::size_t, std::size_t> col_pos;
-    for (std::size_t j = 0; j < comp.col_map.size(); ++j)
-      col_pos.emplace(comp.col_map[j], j);
-    for (std::size_t i = 0; i < comp.row_map.size(); ++i) {
-      const BitVec& row = m.row(comp.row_map[i]);
-      for (std::size_t j = row.find_first(); j < cols; j = row.find_next(j)) {
-        const auto it = col_pos.find(j);
-        EBMF_ASSERT(it != col_pos.end());  // cell's column is in component
-        comp.matrix.set(i, it->second);
-      }
-    }
-    components.push_back(std::move(comp));
+  while (search.next(rows, cols)) {
+    const flat::Indices& comp_rows = search.comp_rows;
+    const flat::Indices& comp_cols = search.comp_cols;
+    Component& comp = components.emplace_back();
+    for (std::size_t j = 0; j < comp_cols.size(); ++j)
+      col_local[comp_cols[j]] = static_cast<flat::Index>(j);
+    comp.matrix = BinaryMatrix(comp_rows.size(), comp_cols.size());
+    for (std::size_t i = 0; i < comp_rows.size(); ++i)
+      flat::for_each_bit(rows.line(comp_rows[i]), rows.stride,
+                         [&](std::size_t j) {
+                           comp.matrix.set(i, col_local[j]);
+                         });
+    add_lines(comp_rows, comp.map.rows);
+    add_lines(comp_cols, comp.map.cols);
+    comp.map.original_rows = m.rows();
+    comp.map.original_cols = m.cols();
   }
   return components;
-}
-
-Partition lift_partition(const Partition& p, const Component& component,
-                         std::size_t original_rows,
-                         std::size_t original_cols) {
-  Partition out;
-  out.reserve(p.size());
-  for (const Rectangle& rect : p) {
-    Rectangle big{BitVec(original_rows), BitVec(original_cols)};
-    for (std::size_t i = rect.rows.find_first(); i < rect.rows.size();
-         i = rect.rows.find_next(i))
-      big.rows.set(component.row_map[i]);
-    for (std::size_t j = rect.cols.find_first(); j < rect.cols.size();
-         j = rect.cols.find_next(j))
-      big.cols.set(component.col_map[j]);
-    out.push_back(std::move(big));
-  }
-  return out;
 }
 
 }  // namespace ebmf

@@ -18,9 +18,12 @@
 ///     components, each individually within reach of the exact solver even
 ///     though the whole matrix is "too large for SMT" (paper §IV-B).
 ///
-/// Both reductions return the mapping needed to lift a sub-partition back
-/// to the original matrix; lifting preserves validity and size.
+/// Both reductions run on flat word arrays (core/flat.h), the same passes
+/// the result cache's canonical form (service/canon.h) builds on. Each
+/// returns a LiftMap, and lift_partition() maps a partition of the smaller
+/// matrix back through it; lifting preserves validity and size.
 
+#include <span>
 #include <vector>
 
 #include "core/matrix.h"
@@ -28,38 +31,55 @@
 
 namespace ebmf {
 
+/// Where the lines of a derived matrix come from: line k stands for the
+/// original lines source[start[k] .. start[k + 1]) — a duplicate group, a
+/// component line's one original line, or a canonical line and its copies.
+struct LineSources {
+  std::vector<std::size_t> start{0};
+  std::vector<std::size_t> source;
+
+  /// Number of derived lines.
+  [[nodiscard]] std::size_t size() const { return start.size() - 1; }
+  /// The original lines behind derived line k, ascending.
+  [[nodiscard]] std::span<const std::size_t> operator[](std::size_t k) const {
+    return {source.data() + start[k], start[k + 1] - start[k]};
+  }
+};
+
+/// The record that lifts a partition of a derived matrix onto the matrix
+/// it was derived from.
+struct LiftMap {
+  LineSources rows;
+  LineSources cols;
+  std::size_t original_rows = 0;
+  std::size_t original_cols = 0;
+};
+
+/// Lift a partition of a derived matrix back to the original: each
+/// rectangle's rows and columns expand to the lines they stand for.
+Partition lift_partition(const Partition& p, const LiftMap& map);
+
 /// Duplicate/zero row-and-column reduction of a matrix.
 struct DuplicateReduction {
   BinaryMatrix reduced;  ///< No zero or duplicate rows/columns.
-  /// row_groups[i] = original rows collapsed into reduced row i.
-  std::vector<std::vector<std::size_t>> row_groups;
-  /// col_groups[j] = original columns collapsed into reduced column j.
-  std::vector<std::vector<std::size_t>> col_groups;
-  std::size_t original_rows = 0;
-  std::size_t original_cols = 0;
+  /// Reduced row i stands for the duplicate group map.rows[i] (first
+  /// occurrence order), and likewise for columns.
+  LiftMap map;
 };
 
 /// Collapse duplicate rows and columns and drop zero ones.
 /// r_B(reduced) == r_B(m); zero matrix reduces to 0×0.
 DuplicateReduction reduce_duplicates(const BinaryMatrix& m);
 
-/// Lift a partition of the reduced matrix back to the original:
-/// each rectangle's row/column sets expand to the full duplicate groups.
-Partition expand_partition(const Partition& p, const DuplicateReduction& r);
-
 /// One connected component of the bipartite row/column graph.
 struct Component {
-  BinaryMatrix matrix;                 ///< The component's submatrix.
-  std::vector<std::size_t> row_map;    ///< Component row -> original row.
-  std::vector<std::size_t> col_map;    ///< Component col -> original col.
+  BinaryMatrix matrix;  ///< The component's submatrix.
+  LiftMap map;          ///< Component row/column -> one original line.
 };
 
-/// Split into connected components (rows/cols with no 1s appear in none).
-/// The components' ones partition the ones of `m`.
+/// Split into connected components (rows/cols with no 1s appear in none),
+/// numbered by their lowest row. The components' ones partition the ones
+/// of `m`.
 std::vector<Component> split_components(const BinaryMatrix& m);
-
-/// Lift a partition of a component back into the original index space.
-Partition lift_partition(const Partition& p, const Component& component,
-                         std::size_t original_rows, std::size_t original_cols);
 
 }  // namespace ebmf

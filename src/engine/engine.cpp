@@ -297,9 +297,7 @@ SolveReport Engine::solve_split(const SolveRequest& request,
   merged.status = Status::Optimal;
   Partition reduced_partition;
   for (std::size_t c = 0; c < reports.size(); ++c) {
-    Partition lifted =
-        lift_partition(reports[c].partition, components[c],
-                       reduction.reduced.rows(), reduction.reduced.cols());
+    Partition lifted = lift_partition(reports[c].partition, components[c].map);
     reduced_partition.insert(reduced_partition.end(),
                              std::make_move_iterator(lifted.begin()),
                              std::make_move_iterator(lifted.end()));
@@ -308,7 +306,7 @@ SolveReport Engine::solve_split(const SolveRequest& request,
     for (const auto& t : reports[c].timings)
       merged.add_timing(t.phase, t.seconds);
   }
-  merged.partition = expand_partition(reduced_partition, reduction);
+  merged.partition = lift_partition(reduced_partition, reduction.map);
   merged.upper_bound = merged.depth();
   merged.add_telemetry("split.components",
                        static_cast<std::uint64_t>(components.size()));

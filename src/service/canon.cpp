@@ -1,16 +1,15 @@
-// Canonicalization over flat word arrays: dedup, component split,
-// equitable refinement with individualization of the cells it leaves, the
-// 128-bit content key, and the lift back to the original index space.
+// Canonicalization over flat word arrays: the shared dedup and component
+// split (core/flat.h), then equitable refinement with individualization of
+// the cells it leaves, the canonical block order and the 128-bit key.
 
 #include "service/canon.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <numeric>
 #include <utility>
 
-#include "support/contracts.h"
+#include "core/flat.h"
 
 namespace ebmf::canon {
 
@@ -46,53 +45,12 @@ CacheKey hash_matrix(const BinaryMatrix& m) {
   return key;
 }
 
-using Word = std::uint64_t;
-using Index = std::uint32_t;
-using Indices = std::vector<Index>;
+using namespace flat;
 
 /// Bound on one call's refinement work, counted in signature entries and
 /// words scanned (a few milliseconds, and at most 16 MiB of signatures);
 /// past it, the ties left are broken by input order.
 constexpr std::size_t kWorkBudget = std::size_t{1} << 22;
-
-constexpr std::size_t words_for(std::size_t bits) { return (bits + 63) / 64; }
-
-/// A bit matrix as one flat row-major word array, `stride` words per line.
-struct Flat {
-  std::size_t lines = 0;
-  std::size_t bits = 0;
-  std::size_t stride = 0;
-  std::vector<Word> words;
-
-  void reset(std::size_t n_lines, std::size_t n_bits) {
-    lines = n_lines;
-    bits = n_bits;
-    stride = words_for(n_bits);
-    words.assign(lines * stride, 0);
-  }
-  Word* line(std::size_t i) { return words.data() + i * stride; }
-  [[nodiscard]] const Word* line(std::size_t i) const {
-    return words.data() + i * stride;
-  }
-  void set(std::size_t i, std::size_t j) {
-    words[i * stride + (j >> 6)] |= Word{1} << (j & 63);
-  }
-};
-
-/// Call fn(j) for every set bit j of a `stride`-word line, ascending.
-template <typename Fn>
-void for_each_bit(const Word* line, std::size_t stride, Fn&& fn) {
-  for (std::size_t w = 0; w < stride; ++w)
-    for (Word x = line[w]; x != 0; x &= x - 1)
-      fn(w * 64 + static_cast<std::size_t>(std::countr_zero(x)));
-}
-
-/// `t` becomes the transpose of `a`.
-void transpose(const Flat& a, Flat& t) {
-  t.reset(a.bits, a.lines);
-  for (std::size_t i = 0; i < a.lines; ++i)
-    for_each_bit(a.line(i), a.stride, [&](std::size_t j) { t.set(j, i); });
-}
 
 /// Content order between two distinct lines: the one holding the first
 /// differing bit comes first.
@@ -103,15 +61,6 @@ bool line_before(const Word* a, const Word* b, std::size_t stride) {
   }
   return false;
 }
-
-/// The distinct nonzero lines of a Flat in order of first occurrence: line
-/// k of the reduced matrix is `rep[k]`, and
-/// members[start[k] .. start[k + 1]) are all of its copies, ascending.
-struct Groups {
-  Indices rep;
-  Indices start;
-  Indices members;
-};
 
 /// An ordered partition of a component's rows and of its columns into
 /// cells: `row[i]` is row i's cell, numbered from 0.
@@ -129,13 +78,10 @@ struct Coloring {
 /// Memory reused across calls on one thread: canonicalize() allocates
 /// only its result once the buffers have grown to the largest input seen.
 struct Workspace {
-  Flat input, input_t, rows, cols, local, local_t, scratch;
-  Groups row_groups, col_groups;
-  Indices table, group_of, perm;
-  // Component split.
-  std::vector<Word> seen_rows, seen_cols, frontier, reached, comp_rows_mask,
-      comp_cols_mask;
-  Indices comp_rows, comp_cols, col_local;
+  Dedup dedup;
+  ComponentSearch search;
+  Flat local, local_t, scratch;
+  Indices perm, col_local;
   // Refinement.
   Coloring best, from, trial;
   Indices signature, slot, cell_start, rep, cell_size, trace, best_trace;
@@ -156,54 +102,6 @@ struct Workspace {
 Workspace& workspace() {
   thread_local Workspace ws;
   return ws;
-}
-
-/// Bucket lines by class (a cell, or a duplicate group): afterwards the
-/// lines of class x are order[start[x] .. start[x + 1]), ascending.
-void bucket_by_cell(const Indices& cell, std::size_t cells, Indices& start,
-                    Indices& order) {
-  start.assign(cells + 1, 0);
-  for (const Index x : cell) ++start[x + 1];
-  for (std::size_t x = 0; x < cells; ++x) start[x + 1] += start[x];
-  order.resize(cell.size());
-  for (std::size_t i = 0; i < cell.size(); ++i)
-    order[start[cell[i]]++] = static_cast<Index>(i);
-  for (std::size_t x = cells; x > 0; --x) start[x] = start[x - 1];
-  start[0] = 0;
-}
-
-/// Group the equal nonzero lines of `f` in order of first occurrence: each
-/// line's words are hashed into an open-addressed table of group ids.
-void group_lines(const Flat& f, Workspace& ws, Groups& g) {
-  constexpr Index kNone = ~Index{0};
-  std::size_t size = 1;
-  while (size < 2 * f.lines) size <<= 1;
-  ws.table.assign(size, kNone);
-  ws.group_of.resize(f.lines);
-  g.rep.clear();
-  for (std::size_t i = 0; i < f.lines; ++i) {
-    const Word* line = f.line(i);
-    if (std::all_of(line, line + f.stride, [](Word w) { return w == 0; })) {
-      ws.group_of[i] = kNone;
-      continue;
-    }
-    Word h = 0;
-    for (std::size_t w = 0; w < f.stride; ++w)
-      h = (h ^ line[w]) * 0x9e3779b97f4a7c15ULL;
-    std::size_t slot = (h ^ (h >> 29)) & (size - 1);
-    while (ws.table[slot] != kNone &&
-           !std::equal(line, line + f.stride, f.line(g.rep[ws.table[slot]])))
-      slot = (slot + 1) & (size - 1);
-    if (ws.table[slot] == kNone) {
-      ws.table[slot] = static_cast<Index>(g.rep.size());
-      g.rep.push_back(static_cast<Index>(i));
-    }
-    ws.group_of[i] = ws.table[slot];
-  }
-  // Zero lines join one last group that no reduced line reads.
-  for (Index& group : ws.group_of)
-    if (group == kNone) group = static_cast<Index>(g.rep.size());
-  bucket_by_cell(ws.group_of, g.rep.size() + 1, g.start, g.members);
 }
 
 /// Split the `cells` cells of the lines of `f` by signature — how many
@@ -403,28 +301,31 @@ void order_component(Workspace& ws) {
   std::swap(ws.local, ws.scratch);
 }
 
-/// Canonicalize the component with reduced rows `ws.comp_rows` and columns
-/// `ws.comp_cols`, appending its block to `ws.blocks`.
+/// Canonicalize the component the search just found, appending its block to
+/// `ws.blocks`.
 void add_component(Workspace& ws) {
-  const std::size_t r = ws.comp_rows.size();
-  const std::size_t c = ws.comp_cols.size();
+  const Indices& comp_rows = ws.search.comp_rows;
+  const Indices& comp_cols = ws.search.comp_cols;
+  const std::size_t r = comp_rows.size();
+  const std::size_t c = comp_cols.size();
   Workspace::Block block{r, c, words_for(c), 0, ws.block_words.size(),
                          ws.placed_rows.size(), ws.placed_cols.size()};
   if (r == 1 && c == 1) {
     // A lone cell (dedup collapses any single-row or single-column
     // component to this).
     ws.block_words.push_back(1);
-    ws.placed_rows.push_back(ws.comp_rows[0]);
-    ws.placed_cols.push_back(ws.comp_cols[0]);
+    ws.placed_rows.push_back(comp_rows[0]);
+    ws.placed_cols.push_back(comp_cols[0]);
     block.ones = 1;
     ws.blocks.push_back(block);
     return;
   }
   for (std::size_t j = 0; j < c; ++j)
-    ws.col_local[ws.comp_cols[j]] = static_cast<Index>(j);
+    ws.col_local[comp_cols[j]] = static_cast<Index>(j);
+  const Flat& rows = ws.dedup.rows;
   ws.local.reset(r, c);
   for (std::size_t i = 0; i < r; ++i)
-    for_each_bit(ws.rows.line(ws.comp_rows[i]), ws.rows.stride,
+    for_each_bit(rows.line(comp_rows[i]), rows.stride,
                  [&](std::size_t j) { ws.local.set(i, ws.col_local[j]); });
   transpose(ws.local, ws.local_t);
   color_component(ws);
@@ -435,64 +336,10 @@ void add_component(Workspace& ws) {
   ws.block_words.insert(ws.block_words.end(), ws.local.words.begin(),
                         ws.local.words.end());
   for (std::size_t i = 0; i < r; ++i)
-    ws.placed_rows.push_back(ws.comp_rows[ws.row_id[i]]);
+    ws.placed_rows.push_back(comp_rows[ws.row_id[i]]);
   for (std::size_t j = 0; j < c; ++j)
-    ws.placed_cols.push_back(ws.comp_cols[ws.col_id[j]]);
+    ws.placed_cols.push_back(comp_cols[ws.col_id[j]]);
   ws.blocks.push_back(block);
-}
-
-/// One breadth-first hop: `next` becomes the lines reachable through
-/// `adjacency` from the set bits of `frontier` that are not `seen` yet, and
-/// joins `seen` and `component`. Returns false when nothing new was reached.
-bool hop(const std::vector<Word>& frontier, const Flat& adjacency,
-         std::vector<Word>& next, std::vector<Word>& seen,
-         std::vector<Word>& component) {
-  next.assign(adjacency.stride, 0);
-  for_each_bit(frontier.data(), frontier.size(), [&](std::size_t i) {
-    const Word* line = adjacency.line(i);
-    for (std::size_t w = 0; w < next.size(); ++w) next[w] |= line[w];
-  });
-  bool any = false;
-  for (std::size_t w = 0; w < next.size(); ++w) {
-    next[w] &= ~seen[w];
-    seen[w] |= next[w];
-    component[w] |= next[w];
-    any |= next[w] != 0;
-  }
-  return any;
-}
-
-/// Word-parallel breadth-first search over the reduced row/column masks;
-/// each connected component is canonicalized as it is found.
-void split_and_order(Workspace& ws) {
-  const std::size_t row_words = ws.cols.stride;
-  const std::size_t col_words = ws.rows.stride;
-  ws.seen_rows.assign(row_words, 0);
-  ws.seen_cols.assign(col_words, 0);
-  ws.col_local.resize(ws.cols.lines);
-  for (std::size_t start = 0; start < ws.rows.lines; ++start) {
-    const Word bit = Word{1} << (start & 63);
-    if (ws.seen_rows[start >> 6] & bit) continue;
-    ws.seen_rows[start >> 6] |= bit;
-    ws.comp_rows_mask.assign(row_words, 0);
-    ws.comp_cols_mask.assign(col_words, 0);
-    ws.comp_rows_mask[start >> 6] = bit;
-    ws.frontier = ws.comp_rows_mask;
-    while (hop(ws.frontier, ws.rows, ws.reached, ws.seen_cols,
-               ws.comp_cols_mask) &&
-           hop(ws.reached, ws.cols, ws.frontier, ws.seen_rows,
-               ws.comp_rows_mask)) {
-    }
-    ws.comp_rows.clear();
-    ws.comp_cols.clear();
-    for_each_bit(ws.comp_rows_mask.data(), row_words, [&](std::size_t i) {
-      ws.comp_rows.push_back(static_cast<Index>(i));
-    });
-    for_each_bit(ws.comp_cols_mask.data(), col_words, [&](std::size_t j) {
-      ws.comp_cols.push_back(static_cast<Index>(j));
-    });
-    add_component(ws);
-  }
 }
 
 /// Canonical order of the finished blocks: heavier first, then larger, then
@@ -513,12 +360,11 @@ bool block_before(const Workspace& ws, Index a, Index b) {
 }
 
 /// Append the original lines behind reduced line `reduced` to the lift map.
-void add_source(const Groups& groups, Index reduced,
-                std::vector<std::size_t>& start,
-                std::vector<std::size_t>& source) {
-  start.push_back(source.size());
-  source.insert(source.end(), groups.members.begin() + groups.start[reduced],
-                groups.members.begin() + groups.start[reduced + 1]);
+void add_source(const Groups& groups, Index reduced, LineSources& out) {
+  out.source.insert(out.source.end(),
+                    groups.members.begin() + groups.start[reduced],
+                    groups.members.begin() + groups.start[reduced + 1]);
+  out.start.push_back(out.source.size());
 }
 
 }  // namespace
@@ -543,35 +389,24 @@ std::string CacheKey::hex() const {
 Canonical canonicalize(const BinaryMatrix& m) {
   Workspace& ws = workspace();
   Canonical c;
-  c.original_rows = m.rows();
-  c.original_cols = m.cols();
+  c.map.original_rows = m.rows();
+  c.map.original_cols = m.cols();
 
-  // Dedup: group equal rows, then equal columns of the distinct rows. The
-  // reduced lines keep first-occurrence order, so a canonical pattern is
-  // a fixpoint of canonicalize().
-  ws.input.reset(m.rows(), m.cols());
-  for (std::size_t i = 0; i < m.rows(); ++i)
-    std::copy_n(m.row(i).words().data(), ws.input.stride, ws.input.line(i));
-  group_lines(ws.input, ws, ws.row_groups);
-  const std::size_t reduced_rows = ws.row_groups.rep.size();
-  ws.input_t.reset(m.cols(), reduced_rows);
-  for (std::size_t k = 0; k < reduced_rows; ++k)
-    for_each_bit(ws.input.line(ws.row_groups.rep[k]), ws.input.stride,
-                 [&](std::size_t j) { ws.input_t.set(j, k); });
-  group_lines(ws.input_t, ws, ws.col_groups);
-  const std::size_t reduced_cols = ws.col_groups.rep.size();
-  ws.cols.reset(reduced_cols, reduced_rows);
-  for (std::size_t k = 0; k < reduced_cols; ++k)
-    std::copy_n(ws.input_t.line(ws.col_groups.rep[k]), ws.cols.stride,
-                ws.cols.line(k));
-  transpose(ws.cols, ws.rows);
-
+  // Dedup keeps first-occurrence order, so a canonical pattern is a
+  // fixpoint of canonicalize(). Each component is canonicalized as the
+  // search finds it.
+  const Dedup& dedup = ws.dedup;
+  ws.dedup.run(m);
+  const std::size_t reduced_rows = dedup.rows.lines;
+  const std::size_t reduced_cols = dedup.cols.lines;
   ws.work = 0;
   ws.blocks.clear();
   ws.block_words.clear();
   ws.placed_rows.clear();
   ws.placed_cols.clear();
-  split_and_order(ws);
+  ws.col_local.resize(reduced_cols);
+  ws.search.begin(dedup.rows, dedup.cols);
+  while (ws.search.next(dedup.rows, dedup.cols)) add_component(ws);
 
   ws.block_order.resize(ws.blocks.size());
   std::iota(ws.block_order.begin(), ws.block_order.end(), Index{0});
@@ -580,10 +415,10 @@ Canonical canonicalize(const BinaryMatrix& m) {
 
   c.pattern = BinaryMatrix(reduced_rows, reduced_cols);
   c.components.reserve(ws.blocks.size());
-  c.row_start.reserve(reduced_rows + 1);
-  c.col_start.reserve(reduced_cols + 1);
-  c.row_source.reserve(m.rows());
-  c.col_source.reserve(m.cols());
+  c.map.rows.start.reserve(reduced_rows + 1);
+  c.map.cols.start.reserve(reduced_cols + 1);
+  c.map.rows.source.reserve(m.rows());
+  c.map.cols.source.reserve(m.cols());
   std::size_t row_at = 0;
   std::size_t col_at = 0;
   for (const Index b : ws.block_order) {
@@ -594,47 +429,17 @@ Canonical canonicalize(const BinaryMatrix& m) {
                      c.pattern.set(row_at + i, col_at + j);
                    });
     for (std::size_t i = 0; i < block.rows; ++i)
-      add_source(ws.row_groups, ws.placed_rows[block.rows_at + i],
-                 c.row_start, c.row_source);
+      add_source(dedup.row_groups, ws.placed_rows[block.rows_at + i],
+                 c.map.rows);
     for (std::size_t j = 0; j < block.cols; ++j)
-      add_source(ws.col_groups, ws.placed_cols[block.cols_at + j],
-                 c.col_start, c.col_source);
+      add_source(dedup.col_groups, ws.placed_cols[block.cols_at + j],
+                 c.map.cols);
     c.components.push_back({block.rows, block.cols});
     row_at += block.rows;
     col_at += block.cols;
   }
-  c.row_start.push_back(c.row_source.size());
-  c.col_start.push_back(c.col_source.size());
   c.key = hash_matrix(c.pattern);
   return c;
-}
-
-Partition lift(const Partition& p, const Canonical& c) {
-  // Canonical row i stands for its original rows (duplicates included), and
-  // likewise for columns, so mapping each rectangle's lines through that
-  // record keeps the partition valid and its size unchanged.
-  const std::size_t rows = c.pattern.rows();
-  const std::size_t cols = c.pattern.cols();
-  Partition out;
-  out.reserve(p.size());
-  for (const Rectangle& r : p) {
-    EBMF_EXPECTS(!r.empty());
-    Rectangle lifted{BitVec(c.original_rows), BitVec(c.original_cols)};
-    for (std::size_t i = r.rows.find_first(); i < r.rows.size();
-         i = r.rows.find_next(i)) {
-      EBMF_EXPECTS(i < rows);
-      for (std::size_t k = c.row_start[i]; k < c.row_start[i + 1]; ++k)
-        lifted.rows.set(c.row_source[k]);
-    }
-    for (std::size_t j = r.cols.find_first(); j < r.cols.size();
-         j = r.cols.find_next(j)) {
-      EBMF_EXPECTS(j < cols);
-      for (std::size_t k = c.col_start[j]; k < c.col_start[j + 1]; ++k)
-        lifted.cols.set(c.col_source[k]);
-    }
-    out.push_back(std::move(lifted));
-  }
-  return out;
 }
 
 }  // namespace ebmf::canon

@@ -9,12 +9,13 @@
 /// duplicate collapse, and connected-component decomposition, so all those
 /// variants share one canonical representative:
 ///
-///  1. **Dedup** — collapse duplicate rows/columns and drop zero ones,
-///     recording the groups (hash each row's words into a table of groups
-///     of equal rows, then the same for columns).
+///  1. **Dedup** — collapse duplicate rows/columns and drop zero ones.
 ///  2. **Split** — decompose into connected components of the bipartite
-///     row/column graph (word-parallel breadth-first search over row and
-///     column masks).
+///     row/column graph.
+///
+///     Steps 1 and 2 are the solver's own reductions (core/preprocess.h),
+///     run by the same flat-word passes (core/flat.h); canonicalization
+///     adds refinement, block order and the key.
 ///  3. **Refine** — inside each component, compute the coarsest
 ///     equitable partition of rows and columns (as in nauty/Traces): a
 ///     line's signature is popcount(line AND cell mask) for every cell of
@@ -29,7 +30,8 @@
 ///     content and reassemble block-diagonally into one canonical pattern.
 ///
 /// Every step runs on flat row-major word arrays (one buffer per matrix
-/// plus its transpose) from a reusable per-thread workspace.
+/// plus its transpose) from a reusable per-thread workspace, so a call
+/// allocates only its result.
 ///
 /// This is a *sound but incomplete* canonical form: two patterns with equal
 /// canonical matrices are always row/column-permutation equivalent up to
@@ -41,9 +43,10 @@
 /// 128-bit key, so a hash collision can never serve a wrong result.
 ///
 /// Canonical keeps, for every canonical row and column, the original lines
-/// it stands for, and lift() maps a partition of the canonical pattern back
-/// to a valid partition of the original through that one map — the
-/// certificate a cache hit replays.
+/// it stands for, in the same LiftMap record the solver's reductions use,
+/// and lift() maps a partition of the canonical pattern back to a valid
+/// partition of the original through it — the certificate a cache hit
+/// replays.
 
 #include <cstdint>
 #include <string>
@@ -51,6 +54,7 @@
 
 #include "core/matrix.h"
 #include "core/partition.h"
+#include "core/preprocess.h"
 
 namespace ebmf::canon {
 
@@ -95,18 +99,10 @@ struct Canonical {
   };
   std::vector<Block> components;  ///< In diagonal order.
 
-  // ---- lift record (canonical space -> original space) -----------------
-  /// Canonical row i stands for the original rows
-  /// row_source[row_start[i] .. row_start[i + 1]) (i and its duplicates).
-  std::vector<std::size_t> row_start;
-  std::vector<std::size_t> row_source;
-  /// The same for canonical columns.
-  std::vector<std::size_t> col_start;
-  std::vector<std::size_t> col_source;
-
-  /// Shape of the matrix canonicalize() was called on.
-  std::size_t original_rows = 0;
-  std::size_t original_cols = 0;
+  /// Canonical row i stands for the original rows map.rows[i] (i and its
+  /// duplicates), and likewise for columns; the original shape is that of
+  /// the matrix canonicalize() was called on.
+  LiftMap map;
 };
 
 /// Canonicalize a pattern. Deterministic; r_B(pattern) == r_B(input).
@@ -115,6 +111,8 @@ Canonical canonicalize(const BinaryMatrix& m);
 /// Lift a valid partition of `c.pattern` to a valid partition of the matrix
 /// `c` was built from. Preserves the partition size (and hence any
 /// optimality certificate: r_B is invariant under every canonical step).
-Partition lift(const Partition& p, const Canonical& c);
+inline Partition lift(const Partition& p, const Canonical& c) {
+  return lift_partition(p, c.map);
+}
 
 }  // namespace ebmf::canon

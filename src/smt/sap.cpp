@@ -36,24 +36,10 @@ void accumulate_stats(sat::SolverStats& into, const sat::SolverStats& from) {
 /// unbounded threads.
 constexpr std::size_t kMaxProbes = 64;
 
-/// Estimated seconds per encoding work unit. Both encoders emit
-/// Θ(cells²·bound) clauses (Eq. 4 per cross pair, per label or bit), and
-/// the constructor cannot be interrupted once started — so a deadline-
-/// bounded solve must refuse formulas it cannot even build in time.
-/// Calibration: 27k cells at bound 31 takes ≈ 8 s to encode.
+/// Estimated seconds per encoding work unit (Budget::affords_encode). Both
+/// encoders emit Θ(cells²·bound) clauses (Eq. 4 per cross pair, per label
+/// or bit). Calibration: 27k cells at bound 31 takes ≈ 8 s to encode.
 constexpr double kEncodeSecondsPerUnit = 4e-10;
-
-/// Refuse the SMT phase when building the first formula would by itself
-/// consume most of the remaining deadline. Unlimited deadlines always
-/// qualify — the caller asked for an exact answer at any cost.
-bool smt_encode_affordable(std::size_t cells, std::size_t bound,
-                           const Budget& budget) {
-  if (!budget.deadline.limited()) return true;
-  const double estimate = kEncodeSecondsPerUnit * static_cast<double>(cells) *
-                          static_cast<double>(cells) *
-                          static_cast<double>(bound);
-  return estimate < 0.5 * budget.deadline.remaining_seconds();
-}
 
 /// Race width: 0 means "hardware threads"; always clamped to kMaxProbes.
 std::size_t resolve_probes(std::size_t requested) {
@@ -305,8 +291,9 @@ SapResult sap_solve_core(const BinaryMatrix& m, const SapOptions& options) {
   }
   // The encoders are not interruptible; refuse a formula whose mere
   // construction would blow through the deadline and keep the bracket.
-  if (!smt_encode_affordable(m.ones_count(), result.partition.size() - 1,
-                             options.budget)) {
+  if (!options.budget.affords_encode(m.ones_count(),
+                                     result.partition.size() - 1,
+                                     kEncodeSecondsPerUnit)) {
     result.status = SapStatus::BoundedOnly;
     result.total_seconds = total.seconds();
     return result;
@@ -347,9 +334,7 @@ SapResult sap_solve(const BinaryMatrix& m, const SapOptions& options) {
   Partition reduced_partition;
   for (const auto& component : components) {
     SapResult sub = sap_solve_core(component.matrix, sub_options);
-    Partition lifted =
-        lift_partition(sub.partition, component, reduction.reduced.rows(),
-                       reduction.reduced.cols());
+    Partition lifted = lift_partition(sub.partition, component.map);
     reduced_partition.insert(reduced_partition.end(),
                              std::make_move_iterator(lifted.begin()),
                              std::make_move_iterator(lifted.end()));
@@ -370,7 +355,7 @@ SapResult sap_solve(const BinaryMatrix& m, const SapOptions& options) {
         aggregate.status == SapStatus::Optimal)
       aggregate.status = sub.status;
   }
-  aggregate.partition = expand_partition(reduced_partition, reduction);
+  aggregate.partition = lift_partition(reduced_partition, reduction.map);
   aggregate.total_seconds = total.seconds();
   EBMF_ENSURES(
       static_cast<bool>(validate_partition(m, aggregate.partition)));

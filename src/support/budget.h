@@ -80,6 +80,18 @@ struct Budget {
     return cancelled() || deadline.expired();
   }
 
+  /// False when building a Θ(cells²·bound)-clause CNF, at the encoder's
+  /// calibrated `seconds_per_unit`, would by itself take most of the
+  /// remaining deadline: encoders cannot be interrupted once started.
+  [[nodiscard]] bool affords_encode(std::size_t cells, std::size_t bound,
+                                    double seconds_per_unit) const {
+    if (!deadline.limited()) return true;
+    const double estimate = seconds_per_unit * static_cast<double>(cells) *
+                            static_cast<double>(cells) *
+                            static_cast<double>(bound);
+    return estimate < 0.5 * deadline.remaining_seconds();
+  }
+
   /// True when any finite limit is set.
   [[nodiscard]] bool limited() const {
     return deadline.limited() || max_conflicts >= 0 || max_nodes > 0 ||

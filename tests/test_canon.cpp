@@ -256,5 +256,22 @@ TEST(Canon, KeyHexIsStable32Digits) {
   EXPECT_EQ(c.key.hex(), canonicalize(BinaryMatrix::parse("10;01")).key.hex());
 }
 
+TEST(Canon, GoldenKeysOfTheRepeatFamilies) {
+  // Result-cache snapshots (`--cache-file`) are keyed by these digests, so
+  // a refactor of the canonical form must keep them or every saved entry
+  // misses. One base per repeat family, plus the paper's Fig. 1b.
+  const char* const golden[] = {
+      "37f341ed211477fb81ff99f339812278", "05d72075e079e0e455ba8f0aea55059f",
+      "6af696837393c0f308168a716cc2d904", "18ae8498f1a2a6c0307e73b5431f2517"};
+  for (std::size_t kind = 0; kind < 4; ++kind) {
+    Rng rng(1900 + kind);
+    EXPECT_EQ(canonicalize(repeat_base(kind, rng)).key.hex(), golden[kind])
+        << "family " << kind;
+  }
+  const BinaryMatrix fig1b = BinaryMatrix::parse(
+      "101100;010011;101010;010101;111000;000111");
+  EXPECT_EQ(canonicalize(fig1b).key.hex(), "fe76edab8f5d4739eb3876c4ff50a26e");
+}
+
 }  // namespace
 }  // namespace ebmf::canon

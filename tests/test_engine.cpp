@@ -191,6 +191,22 @@ TEST(Budget, BruteStopsAtItsDeadline) {
   EXPECT_TRUE(validate_partition(m, report.partition).ok);
 }
 
+TEST(Budget, CompletionStopsAtItsDeadline) {
+  // The masked formula cannot be interrupted once its construction starts,
+  // so a deadline-bounded solve must refuse one it cannot build in time and
+  // return the packing partition instead.
+  Rng rng(31);
+  const BinaryMatrix m = BinaryMatrix::random(100, 100, 0.2, rng);
+  const Engine engine;
+  auto request = SolveRequest::dense(m, "completion");
+  constexpr double kBudget = 0.5;
+  request.budget = Budget::after(kBudget);
+  const Stopwatch wall;
+  const auto report = engine.solve(request);
+  EXPECT_LE(wall.seconds(), kBudget + std::max(0.05, 0.1 * kBudget));
+  EXPECT_TRUE(validate_partition(m, report.partition).ok);
+}
+
 TEST(Budget, CancellationFlagIsSharedAcrossCopies) {
   Budget budget;
   budget.cancellable();

@@ -22,6 +22,9 @@ Checked metrics:
     repeat families (higher = regression), and canon.key_splits, the bases
     whose permutations got more than one cache key (must not exceed the
     baseline; no tolerance applies)
+  * micro: preprocess.us_per_call, the cost of the solver's
+    reduce_duplicates + split_components on the same inputs (higher =
+    regression)
   * table1: total wall-clock and per-suite wall-clock (higher = regression;
     suites faster than --floor seconds are skipped as noise)
   * table1: anytime suites are gated on solution quality, not throughput —
@@ -270,7 +273,8 @@ def main():
 
     base_micro, cur_micro = baseline.get("micro"), current.get("micro")
     if base_micro and cur_micro:
-        print("micro (propagation throughput, canonicalize cost):")
+        print("micro (propagation throughput, canonicalize and preprocess "
+              "cost):")
         for key in ("sat", "smt_large"):
             check_throughput(failures, f"micro.{key}",
                              base_micro[key]["propagations_per_sec"],
@@ -291,6 +295,14 @@ def main():
                                 f"(baseline {base_splits})")
         elif base_canon:
             failures.append("no canon micro in the current run")
+        base_pre, cur_pre = (base_micro.get("preprocess"),
+                             cur_micro.get("preprocess"))
+        if base_pre and cur_pre:
+            check_cost_us(failures, "micro.preprocess.us_per_call",
+                          base_pre["us_per_call"], cur_pre["us_per_call"],
+                          args.tolerance)
+        elif base_pre:
+            failures.append("no preprocess micro in the current run")
     elif base_micro:
         failures.append("no micro summary in the current run")
 
